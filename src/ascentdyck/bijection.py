@@ -39,6 +39,7 @@ from .paths import (
     DyckPath,
     StepRef,
     _degree_of_elevation,
+    _is_elevated_steps,
     _key_downsteps,
     _match_down,
     key_downsteps,
@@ -47,7 +48,9 @@ from .sequences import (
     AllowableList,
     AscentSequence,
     _first_021_violation,
+    _menu_low,
     _prefix_state,
+    _walk_021,
     allowable_next_values,
     allowable_nonzero_values,
 )
@@ -181,7 +184,7 @@ def _forward_step_core(path: str, u: int, a: int, m: int, last: int):
         return UP + path + DOWN, 2, None
     if u == a + 1:
         return path + "UD", 3, None
-    lo = max(m, 1) if last == 0 else m + 1
+    lo = _menu_low(m, last)
     keys = _key_downsteps(path)
     if len(keys) != a - lo + 1 or not keys:
         raise InternalInvariant(
@@ -226,12 +229,8 @@ def _assert_step_shape(steps: str, case_id: int) -> None:
     if case_id == 4:
         if steps.endswith("UD"):
             raise InternalInvariant(f"case 4 result ends with a peak: {steps}")
-        bal = 0
-        for c in steps[:-1]:
-            bal += 1 if c == UP else -1
-            if bal == 0:
-                return
-        raise InternalInvariant(f"case 4 result is elevated: {steps}")
+        if _is_elevated_steps(steps):
+            raise InternalInvariant(f"case 4 result is elevated: {steps}")
 
 
 def forward_step(P: DyckPath, prefix: AscentSequence, u: int) -> tuple[DyckPath, ForwardStepRecord]:
@@ -309,12 +308,7 @@ def _classify(steps: str) -> int:
         return 1
     if steps.endswith("UD"):
         return 3
-    bal = 0
-    for c in steps[:-1]:
-        bal += 1 if c == UP else -1
-        if bal == 0:
-            return 4
-    return 2
+    return 2 if _is_elevated_steps(steps) else 4
 
 
 def classify_inverse_case(P: DyckPath) -> int:
@@ -416,18 +410,7 @@ def iter_pairs(n: int) -> Iterator[tuple[AscentSequence, DyckPath]]:
     lexicographic sequence order, sharing work across common prefixes."""
     if n < 1:
         raise SizeZero("size must be at least 1")
-    buf = [0] * n
-
-    def rec(i: int, path: str, a: int, m: int, last: int):
-        if i == n:
-            yield AscentSequence(tuple(buf)), DyckPath(path)
-            return
-        buf[i] = 0
-        yield from rec(i + 1, _forward_step_core(path, 0, a, m, last)[0], a, m, 0)
-        lo = max(m, 1) if last == 0 else m
-        for v in range(lo, a + 2):
-            buf[i] = v
-            stepped = _forward_step_core(path, v, a, m, last)[0]
-            yield from rec(i + 1, stepped, a + (last < v), max(m, v), v)
-
-    return rec(1, "UD", 0, 0, 0)
+    return (
+        (AscentSequence(tuple(buf)), DyckPath(path))
+        for buf, path in _walk_021(n, _forward_step_core)
+    )

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .bijection import (
     ForwardStepRecord,
@@ -27,16 +28,16 @@ from .errors import CapExceeded, InputError, InternalInvariant
 from .paths import (
     DyckPath,
     PathStats,
+    _path_stats_raw,
     enumerate_dyck_paths,
     parse_path,
-    path_statistics,
     render_ascii,
 )
 from .sequences import (
     SequenceStats,
+    _sequence_stats_raw,
     enumerate_021_avoiding,
     parse_sequence,
-    sequence_statistics,
 )
 from .verify import (
     DEFAULT_CAP,
@@ -48,22 +49,6 @@ from .verify import (
     check_roundtrip,
     check_statistics,
 )
-
-_SEQ_STAT_ROWS = (
-    "initial_zeros",
-    "terminal_zeros",
-    "ascents",
-    "descents",
-    "eq_run_before_last_nonzero",
-)
-_PATH_STAT_ROWS = (
-    "first_descent_length",
-    "last_ascent_length",
-    "valleys",
-    "duu_count",
-    "degree_of_elevation",
-)
-
 
 class _CliUsage(Exception):
     pass
@@ -118,26 +103,6 @@ def _forward_trace_lines(trace, fmt: str) -> list[str]:
     return lines
 
 
-def _seq_stat_values(stats: SequenceStats) -> tuple:
-    return (
-        stats.initial_zeros,
-        stats.terminal_zeros,
-        stats.ascents,
-        stats.descents,
-        stats.eq_run_before_last_nonzero,
-    )
-
-
-def _path_stat_values(stats: PathStats) -> tuple:
-    return (
-        stats.first_descent_length,
-        stats.last_ascent_length,
-        stats.valleys,
-        stats.duu_count,
-        stats.degree_of_elevation,
-    )
-
-
 def _stat_cell(values: tuple) -> str:
     return ",".join("-" if v is None else str(v) for v in values)
 
@@ -190,35 +155,37 @@ def _cmd_enumerate(args) -> int:
         for seq in enumerate_021_avoiding(n):
             line = str(seq)
             if args.stats:
-                line += "\t" + _stat_cell(_seq_stat_values(sequence_statistics(seq)))
+                line += "\t" + _stat_cell(_sequence_stats_raw(seq.entries))
             out.write(line + "\n")
     elif args.side == "path":
         for p in enumerate_dyck_paths(n):
             line = p.steps
             if args.stats:
-                line += "\t" + _stat_cell(_path_stat_values(path_statistics(p)))
+                line += "\t" + _stat_cell(_path_stats_raw(p.steps))
             out.write(line + "\n")
     else:
         for seq, p in iter_pairs(n):
             line = f"{seq}\t{p.steps}"
             if args.stats:
                 line += (
-                    "\t" + _stat_cell(_seq_stat_values(sequence_statistics(seq)))
-                    + "\t" + _stat_cell(_path_stat_values(path_statistics(p)))
+                    "\t" + _stat_cell(_sequence_stats_raw(seq.entries))
+                    + "\t" + _stat_cell(_path_stats_raw(p.steps))
                 )
             out.write(line + "\n")
     return 0
 
 
 def _cmd_stats(args) -> int:
+    # the raw tuples are what the stats dataclasses are built from, field
+    # by field
     if args.seq is not None:
-        stats = sequence_statistics(parse_sequence(_read_operand(args.seq)))
-        rows = zip(_SEQ_STAT_ROWS, _seq_stat_values(stats))
+        entries = parse_sequence(_read_operand(args.seq)).entries
+        rows = zip(fields(SequenceStats), _sequence_stats_raw(entries))
     else:
-        stats = path_statistics(parse_path(_read_operand(args.path)))
-        rows = zip(_PATH_STAT_ROWS, _path_stat_values(stats))
-    for name, value in rows:
-        print(f"{name}\t{'-' if value is None else value}")
+        steps = parse_path(_read_operand(args.path)).steps
+        rows = zip(fields(PathStats), _path_stats_raw(steps))
+    for field, value in rows:
+        print(f"{field.name}\t{'-' if value is None else value}")
     return 0
 
 

@@ -178,14 +178,22 @@ def is_pyramid(p: DyckPath) -> bool:
     return "DU" not in p.steps
 
 
+def _is_elevated_steps(steps: str) -> bool:
+    # the height can only come back to ground on a downstep
+    bal = 0
+    for c in steps[:-1]:
+        if c == UP:
+            bal += 1
+        else:
+            bal -= 1
+            if bal == 0:
+                return False
+    return True
+
+
 def is_elevated(p: DyckPath) -> bool:
     """True when the only return to ground level is the final step."""
-    bal = 0
-    for c in p.steps[:-1]:
-        bal += 1 if c == UP else -1
-        if bal == 0:
-            return False
-    return True
+    return _is_elevated_steps(p.steps)
 
 
 def _degree_of_elevation(steps: str) -> int | None:
@@ -367,23 +375,23 @@ def transfer_upsteps_to_front(p: DyckPath, count: int, before_up: StepRef) -> Dy
 
 
 def _iter_dyck_steps(n: int) -> Iterator[str]:
-    # lexicographic DFS with U < D
-    buf: list[str] = []
-
-    def rec(ups: int, downs: int) -> Iterator[str]:
+    # lexicographic DFS with U < D on an explicit stack; n >= 1.  Each
+    # frame writes one step and carries the counts including it.
+    buf = [UP] * (2 * n)
+    stack = [(0, UP, 1, 0)]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        k, c, ups, downs = pop()
+        buf[k] = c
         if downs == n:
             yield "".join(buf)
-            return
-        if ups < n:
-            buf.append(UP)
-            yield from rec(ups + 1, downs)
-            buf.pop()
+            continue
+        k += 1
         if downs < ups:
-            buf.append(DOWN)
-            yield from rec(ups, downs + 1)
-            buf.pop()
-
-    return rec(0, 0)
+            push((k, DOWN, ups, downs + 1))
+        if ups < n:
+            push((k, UP, ups + 1, downs))
 
 
 def enumerate_dyck_paths(n: int) -> Iterator[DyckPath]:

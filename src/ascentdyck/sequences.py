@@ -161,6 +161,11 @@ def _prefix_state(entries: Sequence[int]) -> tuple[int, int, int]:
     return a, max(entries), entries[-1]
 
 
+def _menu_low(m: int, last: int) -> int:
+    # lowest menu value after a prefix with maximum m and last entry last
+    return max(m, 1) if last == 0 else m + 1
+
+
 def allowable_nonzero_values(prefix: AscentSequence) -> AllowableList:
     """Values strictly between "repeat the last nonzero entry" and "top out
     at one more than the ascent count", i.e. the menu consumed by the
@@ -172,8 +177,9 @@ def allowable_nonzero_values(prefix: AscentSequence) -> AllowableList:
     bound exceeds a.
     """
     a, m, last = _prefix_state(prefix.entries)
-    lo = max(m, 1) if last == 0 else m + 1
-    return AllowableList(tuple(range(lo, a + 1)), max_entry=m, ascent_count=a)
+    return AllowableList(
+        tuple(range(_menu_low(m, last), a + 1)), max_entry=m, ascent_count=a
+    )
 
 
 def allowable_next_values(prefix: AscentSequence) -> list[int]:
@@ -191,22 +197,54 @@ def allowable_next_values(prefix: AscentSequence) -> list[int]:
     return sorted(out)
 
 
-def _iter_021_entries(n: int) -> Iterator[tuple[int, ...]]:
-    # lexicographic DFS; shares prefix state instead of revalidating
+def _walk_021(n: int, step=None):
+    """Depth-first walk, in lexicographic order, over the family of length n.
+
+    Yields (buf, path) at every leaf, reusing buf for the entries in
+    place.  ``step(path, v, a, m, last)``, when given, runs on every edge
+    in walk order with the parent's path and prefix state (ascents,
+    maximum, last entry) and the new entry v: None prunes the subtree,
+    and otherwise its ``[0]`` is the child's path, "UD" at the root.
+    Without ``step``, path is None.  The stack is explicit, so the depth
+    is not bounded by the recursion limit.
+    """
     buf = [0] * n
-
-    def rec(i: int, a: int, m: int, last: int) -> Iterator[tuple[int, ...]]:
+    stack = []
+    push = stack.append
+    pop = stack.pop
+    i, path, a, m, last = 1, ("UD" if step is not None else None), 0, 0, 0
+    while True:
         if i == n:
-            yield tuple(buf)
-            return
-        buf[i] = 0
-        yield from rec(i + 1, a, m, 0)
-        lo = max(m, 1) if last == 0 else m
-        for v in range(lo, a + 2):
+            yield buf, path
+        else:
+            # a nonzero last entry equals m, so the nonzero candidates are
+            # max(m, 1)..a+1 whatever the last entry; pushed in reverse so
+            # that they pop in ascending order, after 0
+            for v in reversed(range(max(m, 1), a + 2)):
+                push((i, v, path, a, m, last))
+            push((i, 0, path, a, m, last))
+        # descend along the next edge the step keeps; none left ends the walk
+        while stack:
+            i, v, path, a, m, last = pop()
             buf[i] = v
-            yield from rec(i + 1, a + (last < v), max(m, v), v)
+            if step is None:
+                break
+            stepped = step(path, v, a, m, last)
+            if stepped is not None:
+                path = stepped[0]
+                break
+        else:
+            return
+        if last < v:
+            a += 1
+        if m < v:
+            m = v
+        last = v
+        i += 1
 
-    return rec(1, 0, 0, 0)
+
+def _iter_021_entries(n: int) -> Iterator[tuple[int, ...]]:
+    return (tuple(buf) for buf, _ in _walk_021(n))
 
 
 def enumerate_021_avoiding(n: int) -> Iterator[AscentSequence]:

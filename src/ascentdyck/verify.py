@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .bijection import (
     _assert_step_shape,
@@ -24,6 +23,7 @@ from .errors import CapExceeded, InputError, InternalInvariant
 from .paths import (
     UP,
     _STEP_TO_BIT,
+    _is_elevated_steps,
     _is_valid_steps,
     _iter_dyck_steps,
     _path_stats_raw,
@@ -32,6 +32,7 @@ from .paths import (
 from .sequences import (
     _first_021_violation,
     _sequence_stats_raw,
+    _walk_021,
     contains_pattern_021_bruteforce,
     enumerate_021_avoiding,
 )
@@ -42,18 +43,14 @@ EXTENDED_CAP = 14
 _MAX_WITNESSES = 100
 
 
-@lru_cache(maxsize=None)
-def _catalan(n: int) -> int:
-    if n == 0:
-        return 1
-    return sum(_catalan(i) * _catalan(n - 1 - i) for i in range(n))
-
-
 def catalan(n: int) -> int:
     """Exact Catalan number, by the convolution recurrence."""
     if n < 0:
         raise InputError("catalan is defined for n >= 0")
-    return _catalan(n)
+    c = [1]
+    for k in range(n):
+        c.append(sum(c[i] * c[k - i] for i in range(k + 1)))
+    return c[n]
 
 
 @dataclass(frozen=True)
@@ -133,24 +130,10 @@ def _fold_family(n: int, visit) -> int:
     """Depth-first over every 021-avoiding entry tuple of length n with the
     image path folded alongside; calls visit(entries_buffer, path) at every
     leaf and returns the leaf count.  The buffer is reused in place."""
-    buf = [0] * n
     leaves = 0
-
-    def rec(i: int, path: str, a: int, m: int, last: int) -> None:
-        nonlocal leaves
-        if i == n:
-            leaves += 1
-            visit(buf, path)
-            return
-        buf[i] = 0
-        rec(i + 1, _forward_step_core(path, 0, a, m, last)[0], a, m, 0)
-        lo = max(m, 1) if last == 0 else m
-        for v in range(lo, a + 2):
-            buf[i] = v
-            rec(i + 1, _forward_step_core(path, v, a, m, last)[0],
-                a + (last < v), max(m, v), v)
-
-    rec(1, "UD", 0, 0, 0)
+    for buf, path in _walk_021(n, _forward_step_core):
+        leaves += 1
+        visit(buf, path)
     return leaves
 
 
@@ -243,29 +226,23 @@ def check_invariants(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     t0 = time.perf_counter()
     bad = _Witnesses()
     buf = [0] * n
-    leaves = 0
 
-    def rec(i: int, path: str, a: int, m: int, last: int) -> None:
-        nonlocal leaves
-        if i == n:
-            leaves += 1
-            return
-        lo = max(m, 1) if last == 0 else m
-        candidates = [0] + list(range(lo, a + 2))
-        for v in candidates:
-            buf[i] = v
-            witness = ",".join(map(str, buf[: i + 1]))
-            try:
-                # the core itself asserts the menu/key-downstep length match
-                # and that the menu case never reaches a pyramid
-                stepped, case_id, _ = _forward_step_core(path, v, a, m, last)
-                _assert_step_shape(stepped, case_id)
-            except InternalInvariant as exc:
-                bad.add("step-invariant", witness, str(exc))
-                continue
-            rec(i + 1, stepped, a + (last < v), max(m, v), v)
+    def checked_step(path, v, a, m, last):
+        # edges arrive in walk order, so buf[:i] still holds the parent
+        # prefix when the edge from size i is checked
+        i = len(path) // 2
+        buf[i] = v
+        try:
+            # the core itself asserts the menu/key-downstep length match
+            # and that the menu case never reaches a pyramid
+            stepped = _forward_step_core(path, v, a, m, last)
+            _assert_step_shape(stepped[0], stepped[1])
+        except InternalInvariant as exc:
+            bad.add("step-invariant", ",".join(map(str, buf[: i + 1])), str(exc))
+            return None
+        return stepped
 
-    rec(1, "UD", 0, 0, 0)
+    leaves = sum(1 for _ in _walk_021(n, checked_step))
 
     npath = 0
     if n >= 2:
@@ -292,15 +269,6 @@ def check_invariants(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
         failures=bad.freeze(), equidistribution=None,
         elapsed=time.perf_counter() - t0,
     )
-
-
-def _is_elevated_steps(steps: str) -> bool:
-    bal = 0
-    for c in steps[:-1]:
-        bal += 1 if c == UP else -1
-        if bal == 0:
-            return False
-    return True
 
 
 _STAT_NAMES = (

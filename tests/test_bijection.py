@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from ascentdyck import (
@@ -229,6 +231,13 @@ class TestRoundTrip:
         assert seen == {p.steps for p in paths}
         for p in paths:
             assert forward(inverse(p)) == p
+
+    @pytest.mark.parametrize(
+        "stream", [enumerate_021_avoiding, enumerate_dyck_paths, iter_pairs]
+    )
+    def test_streams_start_past_the_recursion_limit(self, stream):
+        head = list(islice(stream(2000), 3))
+        assert len(head) == len(set(head)) == 3
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_iter_pairs_consistent(self, n):

@@ -244,15 +244,20 @@ class TestHarness:
         assert proc.returncode == 0
         assert proc.stdout == "UDUUUDUDUUDDUDDD\n"
 
-    def test_pipe_friendly_stream(self):
-        # enumerate keeps streaming well past the pipe buffer; closing the
-        # pipe early must end the process cleanly
+    @pytest.mark.parametrize("side", ["seq", "path", "pairs"])
+    @pytest.mark.parametrize("n", [11, 2000])
+    def test_pipe_friendly_stream(self, n, side):
+        # enumerate keeps streaming well past the pipe buffer, at depths
+        # beyond the recursion limit too; closing the pipe early must end
+        # the process cleanly
         proc = subprocess.Popen(
-            [sys.executable, "-m", "ascentdyck", "enumerate", "11", "--side", "seq"],
+            [sys.executable, "-m", "ascentdyck", "enumerate", str(n), "--side", side],
             stdout=subprocess.PIPE,
             text=True,
         )
-        first = proc.stdout.readline().strip()
+        first = proc.stdout.readline().rstrip("\n")
         proc.stdout.close()
         assert proc.wait(timeout=60) == 0
-        assert first == "0,0,0,0,0,0,0,0,0,0,0"
+        zeros, pyramid = ",".join("0" * n), "U" * n + "D" * n
+        assert first == {"seq": zeros, "path": pyramid,
+                         "pairs": f"{zeros}\t{pyramid}"}[side]

@@ -12,7 +12,7 @@ from ascentdyck import (
     check_roundtrip,
     check_statistics,
 )
-from ascentdyck.errors import InputError
+from ascentdyck.errors import InputError, InternalInvariant
 
 from conftest import catalan_binomial
 
@@ -26,7 +26,7 @@ class TestCatalan:
     def test_base(self):
         assert catalan(0) == 1
 
-    @pytest.mark.parametrize("n", range(0, 20))
+    @pytest.mark.parametrize("n", [*range(0, 20), 400])
     def test_against_closed_form(self, n):
         assert catalan(n) == catalan_binomial(n)
 
@@ -62,6 +62,25 @@ class TestChecks:
 
     def test_invariants(self):
         assert check_invariants(7).passed
+
+    def test_invariants_witness_the_failing_prefix(self, monkeypatch):
+        # a core that breaks every case-3 edge: each failure names the
+        # prefix ending in the offending entry and prunes its subtree
+        from ascentdyck import verify
+
+        core = verify._forward_step_core
+
+        def broken(path, v, a, m, last):
+            stepped = core(path, v, a, m, last)
+            if stepped[1] == 3:
+                raise InternalInvariant("case 3 refused")
+            return stepped
+
+        monkeypatch.setattr(verify, "_forward_step_core", broken)
+        report = check_invariants(3)
+        assert [f.witness for f in report.failures] == ["0,0,1", "0,1"]
+        assert {f.detail for f in report.failures} == {"case 3 refused"}
+        assert report.sequences_checked == 1
 
     def test_characterization_tiny(self):
         assert check_characterization(3, 2).passed
