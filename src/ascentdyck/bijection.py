@@ -173,9 +173,8 @@ def _forward_step_core(path: str, u: int, a: int, m: int, last: int):
 
     (a, m, last) are the ascent count, maximum and last entry of the
     prefix already folded in.  Returns (new_path, case_id, extras) with
-    extras = (menu_low, menu_position, elevation_degree, key_offsets)
-    for case 4 and None otherwise.  The caller guarantees u extends the
-    prefix legally.
+    extras = (menu_position, elevation_degree) for case 4 and None
+    otherwise.  The caller guarantees u extends the prefix legally.
     """
     if u == 0:
         i = path.rfind("UD")
@@ -201,7 +200,7 @@ def _forward_step_core(path: str, u: int, a: int, m: int, last: int):
         # the front segment is all upsteps: the first ascent always
         # rises strictly above the lowest valley
         new = new[e:u0] + UP * e + new[u0:]
-    return new, 4, (lo, u - lo + 1, e, keys)
+    return new, 4, (u - lo + 1, e)
 
 
 def _forward_entries(entries) -> str:
@@ -247,30 +246,17 @@ def forward_step(P: DyckPath, prefix: AscentSequence, u: int) -> tuple[DyckPath,
     a, m, last = _prefix_state(prefix.entries)
     new_steps, case_id, extras = _forward_step_core(P.steps, u, a, m, last)
     _assert_step_shape(new_steps, case_id)
-    if case_id == 4:
-        menu = allowable_nonzero_values(prefix)
-        _, position, lift, _ = extras
-        record = ForwardStepRecord(
-            position=len(prefix) + 1,
-            entry=u,
-            case_id=4,
-            allowable=menu,
-            allowable_index=position,
-            elevation_degree=lift,
-            key_downsteps_before=keys_before,
-            path_after=DyckPath(new_steps),
-        )
-    else:
-        record = ForwardStepRecord(
-            position=len(prefix) + 1,
-            entry=u,
-            case_id=case_id,
-            allowable=None,
-            allowable_index=None,
-            elevation_degree=None,
-            key_downsteps_before=keys_before,
-            path_after=DyckPath(new_steps),
-        )
+    position, lift = extras or (None, None)
+    record = ForwardStepRecord(
+        position=len(prefix) + 1,
+        entry=u,
+        case_id=case_id,
+        allowable=allowable_nonzero_values(prefix) if case_id == 4 else None,
+        allowable_index=position,
+        elevation_degree=lift,
+        key_downsteps_before=keys_before,
+        path_after=DyckPath(new_steps),
+    )
     return record.path_after, record
 
 

@@ -226,7 +226,7 @@ def _cmd_verify(args) -> int:
             sys.stdout.flush()
     if args.json:
         print(json.dumps([r.to_json() for r in reports]))
-    failed = sum(len(r.failures) for r in reports)
+    failed = sum(r.failures_total for r in reports)
     if not args.json:
         print(f"verify: {'PASS' if not failed else f'FAIL ({failed} failures)'}")
     return 2 if failed else 0

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .bijection import (
     _assert_step_shape,
     _classify,
-    _forward_entries,
     _forward_step_core,
     _inverse_entries,
 )
@@ -63,13 +62,15 @@ class Failure:
 @dataclass(frozen=True)
 class VerifyReport:
     """Outcome of one check at one size.  ``failures`` keeps at most the
-    first 100 witnesses; it is empty exactly when everything passed."""
+    first 100 witnesses; it is empty exactly when everything passed.
+    ``failures_total`` counts every failure, kept or not."""
 
     check: str
     n: int
     sequences_checked: int
     paths_checked: int
     failures: tuple[Failure, ...]
+    failures_total: int
     equidistribution: dict[str, bool] | None
     elapsed: float
 
@@ -93,9 +94,11 @@ class VerifyReport:
         }
 
     def summary(self) -> str:
+        capped = (f" (first {len(self.failures)} kept)"
+                  if self.failures_total > len(self.failures) else "")
         lines = [
             f"{self.check}: n={self.n} sequences={self.sequences_checked} "
-            f"paths={self.paths_checked} failures={len(self.failures)} "
+            f"paths={self.paths_checked} failures={self.failures_total}{capped} "
             f"elapsed={self.elapsed:.2f}s [{'PASS' if self.passed else 'FAIL'}]"
         ]
         if self.equidistribution is not None:
@@ -112,8 +115,10 @@ def _require_size(n: int, cap: int) -> None:
 
 
 class _Witnesses:
-    # bounded failure collector
+    # bounded failure collector; created as a check starts, so that
+    # report() can time the check
     def __init__(self):
+        self.t0 = time.perf_counter()
         self.items: list[Failure] = []
         self.total = 0
 
@@ -122,8 +127,14 @@ class _Witnesses:
         if len(self.items) < _MAX_WITNESSES:
             self.items.append(Failure(kind, witness, detail))
 
-    def freeze(self) -> tuple[Failure, ...]:
-        return tuple(self.items)
+    def report(self, check: str, n: int, sequences_checked: int,
+               paths_checked: int, equidistribution=None) -> VerifyReport:
+        return VerifyReport(
+            check=check, n=n, sequences_checked=sequences_checked,
+            paths_checked=paths_checked, failures=tuple(self.items),
+            failures_total=self.total, equidistribution=equidistribution,
+            elapsed=time.perf_counter() - self.t0,
+        )
 
 
 def _fold_family(n: int, visit) -> int:
@@ -137,65 +148,16 @@ def _fold_family(n: int, visit) -> int:
     return leaves
 
 
-def check_counts(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
-    """Both enumerators against the Catalan recurrence."""
-    _require_size(n, cap)
-    t0 = time.perf_counter()
-    bad = _Witnesses()
-    expected = catalan(n)
-    nseq = sum(1 for _ in enumerate_021_avoiding(n))
-    npath = sum(1 for _ in enumerate_dyck_paths(n))
-    if nseq != expected:
-        bad.add("sequence-count", str(n), f"got {nseq}, expected {expected}")
-    if npath != expected:
-        bad.add("path-count", str(n), f"got {npath}, expected {expected}")
-    return VerifyReport(
-        check="counts", n=n, sequences_checked=nseq, paths_checked=npath,
-        failures=bad.freeze(), equidistribution=None,
-        elapsed=time.perf_counter() - t0,
-    )
-
-
-def check_roundtrip(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
-    """inverse(forward(s)) = s over all sequences and
-    forward(inverse(p)) = p over all paths."""
-    _require_size(n, cap)
-    t0 = time.perf_counter()
-    bad = _Witnesses()
-
-    def visit(buf, path):
-        back = _inverse_entries(path)
-        if back != buf:
-            bad.add("sequence-roundtrip", ",".join(map(str, buf)),
-                    f"via {path} came back as {','.join(map(str, back))}")
-
-    nseq = _fold_family(n, visit)
-    npath = 0
-    for steps in _iter_dyck_steps(n):
-        npath += 1
-        entries = _inverse_entries(steps)
-        again = _forward_entries(entries)
-        if again != steps:
-            bad.add("path-roundtrip", steps,
-                    f"via {','.join(map(str, entries))} came back as {again}")
-    return VerifyReport(
-        check="roundtrip", n=n, sequences_checked=nseq, paths_checked=npath,
-        failures=bad.freeze(), equidistribution=None,
-        elapsed=time.perf_counter() - t0,
-    )
-
-
-def check_bijectivity(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
-    """The forward image is valid, duplicate-free, and by counting must
-    therefore cover every path of the size."""
-    _require_size(n, cap)
-    t0 = time.perf_counter()
-    bad = _Witnesses()
-    expected = catalan(n)
+def _coverage(n: int, bad: _Witnesses):
+    """Bookkeeping for "the fold images are valid, distinct and Catalan(n)
+    in number": returns (file, close).  ``file(buf, path)`` files one
+    image in a bitmap over all 2n-step words; ``close()`` witnesses a
+    shortfall and returns the count of distinct valid images, kept as a
+    running counter so that the bitmap is never scanned."""
     seen = bytearray(1 if n < 2 else 1 << (2 * n - 3))
     distinct = 0
 
-    def visit(buf, path):
+    def file(buf, path):
         nonlocal distinct
         if len(path) != 2 * n or not _is_valid_steps(path):
             bad.add("invalid-image", ",".join(map(str, buf)), f"image {path}")
@@ -208,22 +170,69 @@ def check_bijectivity(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
             seen[byte] |= bit
             distinct += 1
 
+    def close() -> int:
+        expected = catalan(n)
+        if distinct != expected:
+            bad.add("coverage", str(n),
+                    f"{distinct} distinct images, expected {expected}")
+        return distinct
+
+    return file, close
+
+
+def check_counts(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
+    """Both enumerators against the Catalan recurrence."""
+    _require_size(n, cap)
+    bad = _Witnesses()
+    expected = catalan(n)
+    nseq = sum(1 for _ in enumerate_021_avoiding(n))
+    npath = sum(1 for _ in enumerate_dyck_paths(n))
+    if nseq != expected:
+        bad.add("sequence-count", str(n), f"got {nseq}, expected {expected}")
+    if npath != expected:
+        bad.add("path-count", str(n), f"got {npath}, expected {expected}")
+    return bad.report("counts", n, nseq, npath)
+
+
+def check_roundtrip(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
+    """inverse(forward(s)) = s over all sequences and
+    forward(inverse(p)) = p over all paths.
+
+    The fold checks the sequence side at every leaf and files each image
+    in the coverage bitmap.  If the images are valid, distinct and
+    Catalan(n) in number, every path p is forward(s) for some s, so
+    forward(inverse(p)) = forward(s) = p by the sequence side.  Hence
+    ``paths_checked`` counts the distinct valid images.
+    """
+    _require_size(n, cap)
+    bad = _Witnesses()
+    file, close = _coverage(n, bad)
+
+    def visit(buf, path):
+        back = _inverse_entries(path)
+        if back != buf:
+            bad.add("sequence-roundtrip", ",".join(map(str, buf)),
+                    f"via {path} came back as {','.join(map(str, back))}")
+        file(buf, path)
+
     nseq = _fold_family(n, visit)
-    if distinct != expected:
-        bad.add("coverage", str(n),
-                f"{distinct} distinct images, expected {expected}")
-    return VerifyReport(
-        check="bijectivity", n=n, sequences_checked=nseq, paths_checked=distinct,
-        failures=bad.freeze(), equidistribution=None,
-        elapsed=time.perf_counter() - t0,
-    )
+    return bad.report("roundtrip", n, nseq, close())
+
+
+def check_bijectivity(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
+    """The forward image is valid, duplicate-free, and by counting must
+    therefore cover every path of the size."""
+    _require_size(n, cap)
+    bad = _Witnesses()
+    file, close = _coverage(n, bad)
+    nseq = _fold_family(n, file)
+    return bad.report("bijectivity", n, nseq, close())
 
 
 def check_invariants(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     """Per-step structural guarantees of the forward construction, plus
     totality and mutual exclusivity of the inverse case split."""
     _require_size(n, cap)
-    t0 = time.perf_counter()
     bad = _Witnesses()
     buf = [0] * n
 
@@ -264,11 +273,7 @@ def check_invariants(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
                 bad.add("case-split", steps,
                         f"classified {_classify(steps)}, conditions say "
                         f"{truth.index(True) + 1}")
-    return VerifyReport(
-        check="invariants", n=n, sequences_checked=leaves, paths_checked=npath,
-        failures=bad.freeze(), equidistribution=None,
-        elapsed=time.perf_counter() - t0,
-    )
+    return bad.report("invariants", n, leaves, npath)
 
 
 _STAT_NAMES = (
@@ -284,7 +289,6 @@ def check_statistics(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     """The five statistic equalities between each sequence and its image,
     including the all-zero/pyramid special cases."""
     _require_size(n, cap)
-    t0 = time.perf_counter()
     bad = _Witnesses()
     ok = [True] * 5
 
@@ -305,12 +309,7 @@ def check_statistics(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
                         f"{_STAT_NAMES[idx]}: {left} != {right} on {path}")
 
     nseq = _fold_family(n, visit)
-    return VerifyReport(
-        check="statistics", n=n, sequences_checked=nseq, paths_checked=nseq,
-        failures=bad.freeze(),
-        equidistribution=dict(zip(_STAT_NAMES, ok)),
-        elapsed=time.perf_counter() - t0,
-    )
+    return bad.report("statistics", n, nseq, nseq, dict(zip(_STAT_NAMES, ok)))
 
 
 def check_characterization(max_len: int = 10, max_val: int | None = 6) -> VerifyReport:
@@ -319,7 +318,6 @@ def check_characterization(max_len: int = 10, max_val: int | None = 6) -> Verify
     ``max_val`` of None bounds entries by the ascent condition alone."""
     if not 1 <= max_len <= 12:
         raise CapExceeded(f"length bound {max_len} outside 1..12")
-    t0 = time.perf_counter()
     bad = _Witnesses()
     buf = [0] * max_len
     checked = 0
@@ -347,8 +345,4 @@ def check_characterization(max_len: int = 10, max_val: int | None = 6) -> Verify
     # node is probed exactly once
     buf[0] = 0
     rec(1, 0)
-    return VerifyReport(
-        check="characterization", n=max_len, sequences_checked=checked,
-        paths_checked=0, failures=bad.freeze(), equidistribution=None,
-        elapsed=time.perf_counter() - t0,
-    )
+    return bad.report("characterization", max_len, checked, 0)

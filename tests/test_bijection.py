@@ -239,7 +239,7 @@ class TestRoundTrip:
         head = list(islice(stream(2000), 3))
         assert len(head) == len(set(head)) == 3
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_iter_pairs_consistent(self, n):
         listed = list(iter_pairs(n))
         assert [s for s, _ in listed] == list(enumerate_021_avoiding(n))

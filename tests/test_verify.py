@@ -12,6 +12,7 @@ from ascentdyck import (
     check_roundtrip,
     check_statistics,
 )
+from ascentdyck.cli import main
 from ascentdyck.errors import InputError, InternalInvariant
 
 from conftest import catalan_binomial
@@ -82,6 +83,74 @@ class TestChecks:
         assert {f.detail for f in report.failures} == {"case 3 refused"}
         assert report.sequences_checked == 1
 
+    def test_failures_beyond_the_witness_cap_are_counted(self, monkeypatch, capsys):
+        # a core that refuses every zero after the first ascent fails far
+        # more edges than the 100 witnesses a report keeps
+        from ascentdyck import verify
+
+        core = verify._forward_step_core
+        raised = 0
+
+        def broken(path, v, a, m, last):
+            nonlocal raised
+            if v == 0 and a:
+                raised += 1
+                raise InternalInvariant("zero after an ascent")
+            return core(path, v, a, m, last)
+
+        monkeypatch.setattr(verify, "_forward_step_core", broken)
+        report = check_invariants(9)
+        assert len(report.failures) == 100
+        assert report.failures_total == raised > 100
+        assert f"failures={raised} (first 100 kept) " in report.summary()
+
+        raised = 0
+        assert main(["verify", "9", "--checks", "invariants"]) == 2
+        out = capsys.readouterr().out
+        assert f"failures={raised} (first 100 kept) " in out
+        assert out.endswith(f"verify: FAIL ({raised} failures)\n")
+
+    def test_roundtrip_catches_a_wrong_inverse(self, monkeypatch):
+        # inverse case 3 emits one too many: only the sequence side sees it
+        from ascentdyck import bijection
+
+        core = bijection._inverse_step_core
+
+        def broken(steps):
+            stepped = core(steps)
+            if stepped[1] == 3:
+                return (stepped[0], 3, stepped[2] + 1, None, None)
+            return stepped
+
+        monkeypatch.setattr(bijection, "_inverse_step_core", broken)
+        report = check_roundtrip(5)
+        assert not report.passed
+        assert {f.kind for f in report.failures} == {"sequence-roundtrip"}
+        assert report.failures[0].witness == "0,0,0,0,1"
+        assert report.failures[0].detail == "via UUUUDDDDUD came back as 0,0,0,0,2"
+
+    def test_roundtrip_and_bijectivity_catch_a_non_injective_forward(self, monkeypatch):
+        # case 3 grows the case-1 word, so 0,0 and 0,1 share an image and
+        # the path side loses coverage
+        from ascentdyck import verify
+
+        core = verify._forward_step_core
+
+        def broken(path, v, a, m, last):
+            stepped = core(path, v, a, m, last)
+            return core(path, 0, a, m, last) if stepped[1] == 3 else stepped
+
+        monkeypatch.setattr(verify, "_forward_step_core", broken)
+        roundtrip, bijectivity = check_roundtrip(3), check_bijectivity(3)
+        kinds = {f.kind for f in roundtrip.failures}
+        assert {"duplicate-image", "coverage"} <= kinds
+        assert {f.kind for f in bijectivity.failures} == {"duplicate-image", "coverage"}
+        # the image witnesses read the same in both reports
+        assert [f for f in roundtrip.failures if f.kind != "sequence-roundtrip"] == list(
+            bijectivity.failures
+        )
+        assert roundtrip.paths_checked == bijectivity.paths_checked == 1
+
     def test_characterization_tiny(self):
         assert check_characterization(3, 2).passed
 
@@ -113,6 +182,10 @@ class TestReports:
     def test_json_shape(self):
         report = check_statistics(3)
         blob = json.loads(json.dumps(report.to_json()))
+        assert set(blob) == {
+            "check", "n", "sequences_checked", "paths_checked", "passed",
+            "failures", "equidistribution", "elapsed_seconds",
+        }
         assert blob["check"] == "statistics"
         assert blob["n"] == 3
         assert blob["passed"] is True
