@@ -47,12 +47,12 @@ from .paths import (
 from .sequences import (
     AllowableList,
     AscentSequence,
+    _allowable,
     _first_021_violation,
     _menu_low,
+    _next_values,
     _prefix_state,
     _walk_021,
-    allowable_next_values,
-    allowable_nonzero_values,
 )
 
 
@@ -216,20 +216,12 @@ def _forward_entries(entries) -> str:
     return path
 
 
-def _assert_step_shape(steps: str, case_id: int) -> None:
-    # every case leaves a recognisable shape behind; checked on every
-    # public step so a construction bug can never produce silent garbage
-    r = steps.rfind(UP)
-    long_last = r >= 1 and steps[r - 1] == UP
-    if (case_id == 1) != long_last:
-        raise InternalInvariant(
-            f"case {case_id} left last-ascent length {'>1' if long_last else '1'}: {steps}"
-        )
-    if case_id == 4:
-        if steps.endswith("UD"):
-            raise InternalInvariant(f"case 4 result ends with a peak: {steps}")
-        if _is_elevated_steps(steps):
-            raise InternalInvariant(f"case 4 result is elevated: {steps}")
+def _assert_classified_as(steps: str, case_id: int) -> None:
+    # the inverse reads the case back off the shape a step leaves, so a
+    # step that leaves another case's shape is a construction bug
+    got = _classify(steps)
+    if got != case_id:
+        raise InternalInvariant(f"case {case_id} step left a case-{got} shape: {steps}")
 
 
 def forward_step(P: DyckPath, prefix: AscentSequence, u: int) -> tuple[DyckPath, ForwardStepRecord]:
@@ -239,19 +231,19 @@ def forward_step(P: DyckPath, prefix: AscentSequence, u: int) -> tuple[DyckPath,
     extend the prefix inside the family; any shape violation afterwards
     raises :class:`InternalInvariant` rather than returning garbage.
     """
-    allowed = allowable_next_values(prefix)
+    a, m, last = _prefix_state(prefix.entries)
+    allowed = _next_values(a, m)
     if u not in allowed:
         raise EntryNotAllowed(entry=u, allowed=allowed)
     keys_before = tuple(key_downsteps(P))
-    a, m, last = _prefix_state(prefix.entries)
     new_steps, case_id, extras = _forward_step_core(P.steps, u, a, m, last)
-    _assert_step_shape(new_steps, case_id)
+    _assert_classified_as(new_steps, case_id)
     position, lift = extras or (None, None)
     record = ForwardStepRecord(
         position=len(prefix) + 1,
         entry=u,
         case_id=case_id,
-        allowable=allowable_nonzero_values(prefix) if case_id == 4 else None,
+        allowable=_allowable(a, m, last) if case_id == 4 else None,
         allowable_index=position,
         elevation_degree=lift,
         key_downsteps_before=keys_before,

@@ -195,7 +195,7 @@ _CHECKS = {
     "bijectivity": check_bijectivity,
     "invariants": check_invariants,
     "statistics": check_statistics,
-    "characterization": None,  # bounds handled separately below
+    "characterization": check_characterization,  # bounds set below
 }
 
 
@@ -217,7 +217,7 @@ def _cmd_verify(args) -> int:
         if name == "characterization":
             # the brute-force oracle is cubic; its sweep is capped at
             # length 10 regardless of the requested size
-            report = check_characterization(min(args.n, 10), 6)
+            report = _CHECKS[name](min(args.n, 10), 6)
         else:
             report = _CHECKS[name](args.n, cap=cap)
         reports.append(report)

@@ -166,6 +166,20 @@ def _menu_low(m: int, last: int) -> int:
     return max(m, 1) if last == 0 else m + 1
 
 
+def _next_values(a: int, m: int) -> list[int]:
+    # every legal next entry after a prefix with a ascents and maximum m,
+    # ascending: a nonzero last entry equals m, so the nonzero values are
+    # max(m, 1)..a+1 whatever the last entry
+    return [0, *range(max(m, 1), a + 2)]
+
+
+def _allowable(a: int, m: int, last: int) -> AllowableList:
+    # the menu after a prefix with prefix state (a, m, last)
+    return AllowableList(
+        tuple(range(_menu_low(m, last), a + 1)), max_entry=m, ascent_count=a
+    )
+
+
 def allowable_nonzero_values(prefix: AscentSequence) -> AllowableList:
     """Values strictly between "repeat the last nonzero entry" and "top out
     at one more than the ascent count", i.e. the menu consumed by the
@@ -176,10 +190,7 @@ def allowable_nonzero_values(prefix: AscentSequence) -> AllowableList:
     (a nonzero last entry always equals m here).  Empty when the lower
     bound exceeds a.
     """
-    a, m, last = _prefix_state(prefix.entries)
-    return AllowableList(
-        tuple(range(_menu_low(m, last), a + 1)), max_entry=m, ascent_count=a
-    )
+    return _allowable(*_prefix_state(prefix.entries))
 
 
 def allowable_next_values(prefix: AscentSequence) -> list[int]:
@@ -189,12 +200,8 @@ def allowable_next_values(prefix: AscentSequence) -> list[int]:
     Besides 0, the nonzero menu and the new-maximum value a+1, this always
     includes a repeat of the last entry when that entry is nonzero.
     """
-    a, _, last = _prefix_state(prefix.entries)
-    out = {0, a + 1}
-    if last > 0:
-        out.add(last)
-    out.update(allowable_nonzero_values(prefix).values)
-    return sorted(out)
+    a, m, _ = _prefix_state(prefix.entries)
+    return _next_values(a, m)
 
 
 def _walk_021(n: int, step=None):
@@ -217,12 +224,9 @@ def _walk_021(n: int, step=None):
         if i == n:
             yield buf, path
         else:
-            # a nonzero last entry equals m, so the nonzero candidates are
-            # max(m, 1)..a+1 whatever the last entry; pushed in reverse so
-            # that they pop in ascending order, after 0
-            for v in reversed(range(max(m, 1), a + 2)):
+            # pushed in reverse so that they pop in ascending order
+            for v in reversed(_next_values(a, m)):
                 push((i, v, path, a, m, last))
-            push((i, 0, path, a, m, last))
         # descend along the next edge the step keeps; none left ends the walk
         while stack:
             i, v, path, a, m, last = pop()

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 
 from .bijection import (
-    _assert_step_shape,
+    _assert_classified_as,
     _classify,
     _forward_step_core,
     _inverse_entries,
@@ -230,8 +230,9 @@ def check_bijectivity(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
 
 
 def check_invariants(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
-    """Per-step structural guarantees of the forward construction, plus
-    totality and mutual exclusivity of the inverse case split."""
+    """Per-step structural guarantees of the forward construction (every
+    edge leaves the shape the inverse classifies as the case it took),
+    plus totality and mutual exclusivity of the inverse case split."""
     _require_size(n, cap)
     bad = _Witnesses()
     buf = [0] * n
@@ -245,7 +246,7 @@ def check_invariants(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
             # the core itself asserts the menu/key-downstep length match
             # and that the menu case never reaches a pyramid
             stepped = _forward_step_core(path, v, a, m, last)
-            _assert_step_shape(stepped[0], stepped[1])
+            _assert_classified_as(stepped[0], stepped[1])
         except InternalInvariant as exc:
             bad.add("step-invariant", ",".join(map(str, buf[: i + 1])), str(exc))
             return None

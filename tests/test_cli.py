@@ -78,6 +78,11 @@ class TestMap:
             "path": "UDUUUDUDUUDDUDDD",
         }
         assert records[0]["allowable"] is None
+        for record in records:
+            assert set(record) == {
+                "position", "entry", "case", "allowable", "allowable_index",
+                "elevation_degree", "key_downsteps", "path",
+            }
 
 
 class TestUnmap:
@@ -197,6 +202,20 @@ class TestVerify:
         reports = json.loads(out)
         assert [r["check"] for r in reports] == ["counts", "statistics"]
         assert all(r["passed"] for r in reports)
+
+    def test_json_report_keys_for_every_check(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "4", "--json")
+        assert code == 0
+        reports = json.loads(out)
+        assert [r["check"] for r in reports] == [
+            "counts", "roundtrip", "bijectivity", "invariants", "statistics",
+            "characterization",
+        ]
+        for report in reports:
+            assert set(report) == {
+                "check", "n", "sequences_checked", "paths_checked", "passed",
+                "failures", "equidistribution", "elapsed_seconds",
+            }
 
     def test_cap(self, capsys):
         code, _, err = run_cli(capsys, "verify", "13")

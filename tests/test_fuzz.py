@@ -1,0 +1,63 @@
+"""Seeded random members of the family past the exhaustive frontier.
+
+The members are drawn straight from the definitions (an entry is at most
+one more than the ascents so far, and nonzero entries never decrease),
+not from the library's own menus, so the draw stays an independent
+oracle for the construction at sizes no sweep reaches.
+"""
+
+import random
+
+import pytest
+
+from ascentdyck import (
+    AscentSequence,
+    classify_inverse_case,
+    forward,
+    forward_trace,
+    inverse,
+    inverse_trace,
+    path_statistics,
+    sequence_statistics,
+)
+
+SEED = 20140
+MEMBERS = 80
+
+
+def draw_member(rng: random.Random, n: int) -> tuple[int, ...]:
+    entries = [0]
+    ascents = top = 0
+    while len(entries) < n:
+        v = rng.randint(0, ascents + 1)
+        if v and v < top:
+            continue  # a nonzero entry below an earlier one makes a 021
+        ascents += entries[-1] < v
+        top = max(top, v)
+        entries.append(v)
+    return tuple(entries)
+
+
+def members():
+    rng = random.Random(SEED)
+    return [draw_member(rng, rng.randint(15, 300)) for _ in range(MEMBERS)]
+
+
+@pytest.mark.parametrize("entries", members(), ids=lambda e: f"n{len(e)}")
+def test_random_member(entries):
+    s = AscentSequence(entries)
+    p = forward(s)
+    assert inverse(p) == s
+
+    seq, path = sequence_statistics(s), path_statistics(p)
+    assert seq.initial_zeros == path.first_descent_length
+    assert seq.terminal_zeros == path.last_ascent_length - 1
+    assert seq.ascents == path.valleys
+    assert seq.descents == path.duu_count
+    assert seq.eq_run_before_last_nonzero == path.degree_of_elevation
+
+    trace = forward_trace(s)
+    assert trace.final_path == p
+    for record in trace.records:
+        assert classify_inverse_case(record.path_after) == record.case_id, record.position
+    assert inverse_trace(p).sequence == s

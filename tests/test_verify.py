@@ -4,6 +4,7 @@ import pytest
 
 from ascentdyck import (
     CapExceeded,
+    DyckPath,
     catalan,
     check_bijectivity,
     check_characterization,
@@ -11,6 +12,8 @@ from ascentdyck import (
     check_invariants,
     check_roundtrip,
     check_statistics,
+    forward_step,
+    validate_ascent_sequence,
 )
 from ascentdyck.cli import main
 from ascentdyck.errors import InputError, InternalInvariant
@@ -82,6 +85,31 @@ class TestChecks:
         assert [f.witness for f in report.failures] == ["0,0,1", "0,1"]
         assert {f.detail for f in report.failures} == {"case 3 refused"}
         assert report.sequences_checked == 1
+
+    def test_invariants_read_every_step_back_through_the_inverse(self, monkeypatch):
+        # a core that appends a peak for a repeated entry but labels it
+        # case 2: the result has a valid size and a short last ascent, so
+        # only reading the shape back as a case catches it
+        from ascentdyck import bijection, verify
+
+        core = verify._forward_step_core
+
+        def mislabelled(path, v, a, m, last):
+            stepped = core(path, v, a, m, last)
+            return (path + "UD", 2, None) if stepped[1] == 2 else stepped
+
+        monkeypatch.setattr(verify, "_forward_step_core", mislabelled)
+        report = check_invariants(4)
+        assert [f.witness for f in report.failures] == ["0,0,1,1", "0,1,1", "0,1,2,2"]
+        assert [f.detail for f in report.failures] == [
+            "case 2 step left a case-3 shape: UUDDUDUD",
+            "case 2 step left a case-3 shape: UDUDUD",
+            "case 2 step left a case-3 shape: UDUDUDUD",
+        ]
+
+        monkeypatch.setattr(bijection, "_forward_step_core", mislabelled)
+        with pytest.raises(InternalInvariant, match="case 2 step left a case-3 shape"):
+            forward_step(DyckPath("UDUD"), validate_ascent_sequence([0, 1]), 1)
 
     def test_failures_beyond_the_witness_cap_are_counted(self, monkeypatch, capsys):
         # a core that refuses every zero after the first ascent fails far
