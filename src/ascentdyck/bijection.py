@@ -16,6 +16,25 @@ entry, choosing among four moves:
           path's degree of elevation from the front of the path into the
           ascent holding that downstep's matching upstep.
 
+The degree of elevation e (the height of the lowest valley, None for the
+pyramid UD, which has none) is carried from step to step rather than
+measured, so that a step costs no scan of the word:
+
+  case 1  splices a peak into a peak, adding no valley: e stays;
+  case 2  lifts every valley by one: e + 1;
+  case 3  appends a peak at ground, whose valley is at 0: e becomes 0;
+  case 4  e becomes 0.  Every valley right of u0, the upstep matching the
+          chosen key downstep d0, is at least h0, the height of vertex
+          d0, and the valley at u0 is at h0 - 1; so the lowest valley lies
+          at or left of u0, and moving e upsteps from the front to u0
+          lowers it to ground.
+
+On the sequence side e is the run of entries equal to, and just left
+of, the last nonzero entry, which is how the family walker and the
+forward loops update it.  ``forward`` checks the carried e against the
+final word once, and ``check_invariants`` against the parent word on
+every case-4 edge of its sweep.
+
 The inverse reads the same four shapes off the end of a path.  Its case 2
 only reveals that an entry repeats its left neighbour; those placeholders
 are resolved once the unwinding reaches UD.
@@ -168,13 +187,16 @@ class InverseTrace:
 # -- forward map --------------------------------------------------------------
 
 
-def _forward_step_core(path: str, u: int, a: int, m: int, last: int):
+def _forward_step_core(path: str, u: int, a: int, m: int, last: int, e: int | None):
     """Apply one growth step to a raw step word.
 
     (a, m, last) are the ascent count, maximum and last entry of the
-    prefix already folded in.  Returns (new_path, case_id, extras) with
-    extras = (menu_position, elevation_degree) for case 4 and None
-    otherwise.  The caller guarantees u extends the prefix legally.
+    prefix already folded in, and e is the degree of elevation of
+    ``path``, which the caller carries (see the module docstring); only
+    case 4 reads it, as the number of upsteps to transfer.  Returns
+    (new_path, case_id, extras) with extras = (menu_position,
+    elevation_degree) for case 4 and None otherwise.  The caller
+    guarantees u extends the prefix legally.
     """
     if u == 0:
         i = path.rfind("UD")
@@ -190,7 +212,6 @@ def _forward_step_core(path: str, u: int, a: int, m: int, last: int):
             f"menu size {max(a - lo + 1, 0)} != key downstep count {len(keys)} "
             f"on {path}"
         )
-    e = _degree_of_elevation(path)
     if e is None:
         raise InternalInvariant(f"menu entry {u} reached a pyramid path {path}")
     d0 = keys[u - lo]
@@ -203,17 +224,21 @@ def _forward_step_core(path: str, u: int, a: int, m: int, last: int):
     return new, 4, (u - lo + 1, e)
 
 
-def _forward_entries(entries) -> str:
+def _forward_entries(entries) -> tuple[str, int | None]:
+    # the image word and its carried degree of elevation
     path = "UD"
     a = m = last = 0
+    e = None
     for u in entries[1:]:
-        path = _forward_step_core(path, u, a, m, last)[0]
+        path = _forward_step_core(path, u, a, m, last, e)[0]
+        if u:
+            e = e + 1 if u == last else 0
         if last < u:
             a += 1
         if m < u:
             m = u
         last = u
-    return path
+    return path, e
 
 
 def _assert_classified_as(steps: str, case_id: int) -> None:
@@ -224,30 +249,51 @@ def _assert_classified_as(steps: str, case_id: int) -> None:
         raise InternalInvariant(f"case {case_id} step left a case-{got} shape: {steps}")
 
 
+def _assert_carried_degree(steps: str, e: int | None) -> None:
+    # a carried degree of elevation that drifted from the word's own
+    # would move the wrong number of upsteps in a later case 4
+    measured = _degree_of_elevation(steps)
+    if e != measured:
+        raise InternalInvariant(
+            f"carried degree of elevation {e} != {measured} measured on {steps}"
+        )
+
+
+def _forward_record(P: DyckPath, u: int, a: int, m: int, last: int,
+                    e: int | None, position: int) -> ForwardStepRecord:
+    # one checked step from P, the image of a prefix with state
+    # (a, m, last, e), by the legal entry u at 1-based ``position``
+    keys_before = tuple(key_downsteps(P))
+    new_steps, case_id, extras = _forward_step_core(P.steps, u, a, m, last, e)
+    _assert_classified_as(new_steps, case_id)
+    menu_position, lift = extras or (None, None)
+    return ForwardStepRecord(
+        position=position,
+        entry=u,
+        case_id=case_id,
+        allowable=_allowable(a, m, last) if case_id == 4 else None,
+        allowable_index=menu_position,
+        elevation_degree=lift,
+        key_downsteps_before=keys_before,
+        path_after=DyckPath(new_steps),
+    )
+
+
 def forward_step(P: DyckPath, prefix: AscentSequence, u: int) -> tuple[DyckPath, ForwardStepRecord]:
     """Grow the image path of ``prefix`` by the entry ``u``.
 
-    ``P`` must be the image of ``prefix``.  Rejects a ``u`` that does not
-    extend the prefix inside the family; any shape violation afterwards
-    raises :class:`InternalInvariant` rather than returning garbage.
+    ``P`` must be the image of ``prefix``; its degree of elevation is
+    measured, since nothing carries it here.  Rejects a ``u`` that does
+    not extend the prefix inside the family; any shape violation
+    afterwards raises :class:`InternalInvariant` rather than returning
+    garbage.
     """
     a, m, last = _prefix_state(prefix.entries)
     allowed = _next_values(a, m)
     if u not in allowed:
         raise EntryNotAllowed(entry=u, allowed=allowed)
-    keys_before = tuple(key_downsteps(P))
-    new_steps, case_id, extras = _forward_step_core(P.steps, u, a, m, last)
-    _assert_classified_as(new_steps, case_id)
-    position, lift = extras or (None, None)
-    record = ForwardStepRecord(
-        position=len(prefix) + 1,
-        entry=u,
-        case_id=case_id,
-        allowable=_allowable(a, m, last) if case_id == 4 else None,
-        allowable_index=position,
-        elevation_degree=lift,
-        key_downsteps_before=keys_before,
-        path_after=DyckPath(new_steps),
+    record = _forward_record(
+        P, u, a, m, last, _degree_of_elevation(P.steps), len(prefix) + 1
     )
     return record.path_after, record
 
@@ -257,21 +303,34 @@ def forward(seq: AscentSequence) -> DyckPath:
     bad = _first_021_violation(seq.entries)
     if bad is not None:
         raise Not021Avoiding(position=bad)
-    return DyckPath(_forward_entries(seq.entries))
+    path, e = _forward_entries(seq.entries)
+    _assert_carried_degree(path, e)
+    return DyckPath(path)
 
 
 def forward_trace(seq: AscentSequence) -> ForwardTrace:
     """Like :func:`forward` but keeping every step record."""
-    bad = _first_021_violation(seq.entries)
+    entries = seq.entries
+    bad = _first_021_violation(entries)
     if bad is not None:
         raise Not021Avoiding(position=bad)
-    path = DyckPath("UD")
+    initial = path = DyckPath("UD")
     records = []
-    for i in range(1, len(seq.entries)):
-        prefix = AscentSequence(seq.entries[:i])
-        path, record = forward_step(path, prefix, seq.entries[i])
+    a = m = last = 0
+    e = None
+    for i in range(1, len(entries)):
+        u = entries[i]
+        record = _forward_record(path, u, a, m, last, e, i + 1)
         records.append(record)
-    return ForwardTrace(initial=DyckPath("UD"), records=tuple(records))
+        path = record.path_after
+        if u:
+            e = e + 1 if u == last else 0
+        if last < u:
+            a += 1
+        if m < u:
+            m = u
+        last = u
+    return ForwardTrace(initial=initial, records=tuple(records))
 
 
 # -- inverse map --------------------------------------------------------------

@@ -36,6 +36,7 @@ DOWN = "D"
 _PAREN_TO_STEP = str.maketrans("()", "UD")
 _STEP_TO_PAREN = str.maketrans("UD", "()")
 _STEP_TO_BIT = str.maketrans("UD", "01")
+_STEP_HEIGHT = {UP: 1, DOWN: -1}
 
 
 def _validate_steps(steps: str) -> None:
@@ -56,12 +57,12 @@ def _validate_steps(steps: str) -> None:
 
 
 def _is_valid_steps(steps: str) -> bool:
-    # C-level validity test for hot sweeps
+    # C-level validity test for hot sweeps: half the steps are U and half
+    # are D, so there is no other character, and no prefix dips below 0
     n2 = len(steps)
-    if n2 == 0 or n2 % 2 or steps.count(UP) * 2 != n2:
+    if n2 == 0 or n2 % 2 or steps.count(UP) * 2 != n2 or steps.count(DOWN) * 2 != n2:
         return False
-    heights = list(accumulate(-1 if c == DOWN else 1 for c in steps))
-    return min(heights) >= 0
+    return min(accumulate(map(_STEP_HEIGHT.__getitem__, steps))) >= 0
 
 
 @dataclass(frozen=True)

@@ -208,37 +208,44 @@ def _walk_021(n: int, step=None):
     """Depth-first walk, in lexicographic order, over the family of length n.
 
     Yields (buf, path) at every leaf, reusing buf for the entries in
-    place.  ``step(path, v, a, m, last)``, when given, runs on every edge
-    in walk order with the parent's path and prefix state (ascents,
-    maximum, last entry) and the new entry v: None prunes the subtree,
-    and otherwise its ``[0]`` is the child's path, "UD" at the root.
-    Without ``step``, path is None.  The stack is explicit, so the depth
-    is not bounded by the recursion limit.
+    place.  ``step(path, v, a, m, last, e)``, when given, runs on every
+    edge in walk order with the parent's path and prefix state and the
+    new entry v.  The prefix state is the ascent count a, the maximum m,
+    the last entry and e, the run of entries equal to and just left of
+    the last nonzero entry (None while every entry is 0); on the path
+    side e is the degree of elevation.  The step's None prunes the
+    subtree, and otherwise its ``[0]`` is the child's path, "UD" at the
+    root.  Without ``step``, path is None.  The stack is explicit, so
+    the depth is not bounded by the recursion limit.
     """
     buf = [0] * n
     stack = []
     push = stack.append
     pop = stack.pop
-    i, path, a, m, last = 1, ("UD" if step is not None else None), 0, 0, 0
+    i, path, a, m, last, e = 1, ("UD" if step is not None else None), 0, 0, 0, None
     while True:
         if i == n:
             yield buf, path
         else:
             # pushed in reverse so that they pop in ascending order
             for v in reversed(_next_values(a, m)):
-                push((i, v, path, a, m, last))
+                push((i, v, path, a, m, last, e))
         # descend along the next edge the step keeps; none left ends the walk
         while stack:
-            i, v, path, a, m, last = pop()
+            i, v, path, a, m, last, e = pop()
             buf[i] = v
             if step is None:
                 break
-            stepped = step(path, v, a, m, last)
+            stepped = step(path, v, a, m, last, e)
             if stepped is not None:
                 path = stepped[0]
                 break
         else:
             return
+        if v:
+            # a repeated nonzero entry lengthens the run; any other
+            # nonzero entry differs from its left neighbour
+            e = e + 1 if v == last else 0
         if last < v:
             a += 1
         if m < v:

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 
 from .bijection import (
+    _assert_carried_degree,
     _assert_classified_as,
     _classify,
     _forward_step_core,
@@ -231,13 +232,14 @@ def check_bijectivity(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
 
 def check_invariants(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     """Per-step structural guarantees of the forward construction (every
-    edge leaves the shape the inverse classifies as the case it took),
-    plus totality and mutual exclusivity of the inverse case split."""
+    edge leaves the shape the inverse classifies as the case it took, and
+    every case-4 edge was handed the degree of elevation its parent word
+    has), plus totality and mutual exclusivity of the inverse case split."""
     _require_size(n, cap)
     bad = _Witnesses()
     buf = [0] * n
 
-    def checked_step(path, v, a, m, last):
+    def checked_step(path, v, a, m, last, e):
         # edges arrive in walk order, so buf[:i] still holds the parent
         # prefix when the edge from size i is checked
         i = len(path) // 2
@@ -245,7 +247,9 @@ def check_invariants(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
         try:
             # the core itself asserts the menu/key-downstep length match
             # and that the menu case never reaches a pyramid
-            stepped = _forward_step_core(path, v, a, m, last)
+            stepped = _forward_step_core(path, v, a, m, last, e)
+            if stepped[1] == 4:
+                _assert_carried_degree(path, e)
             _assert_classified_as(stepped[0], stepped[1])
         except InternalInvariant as exc:
             bad.add("step-invariant", ",".join(map(str, buf[: i + 1])), str(exc))

@@ -26,7 +26,10 @@ from ascentdyck import (
     valley_count,
     validate_ascent_sequence,
 )
-from ascentdyck.paths import DOWN
+from ascentdyck.bijection import _forward_step_core
+from ascentdyck.errors import InternalInvariant
+from ascentdyck.paths import DOWN, _degree_of_elevation
+from ascentdyck.sequences import _walk_021
 
 WORKED_SEQUENCE = [0, 1, 0, 1, 2, 2, 0, 3]
 WORKED_PATH = "UDUUUDUDUUDDUDDD"
@@ -56,6 +59,22 @@ class TestForward:
         with pytest.raises(Not021Avoiding) as info:
             forward(validate_ascent_sequence([0, 1, 2, 1]))
         assert info.value.position == 4
+
+    def test_drifted_carried_degree_raises(self, monkeypatch):
+        # a core whose case 2 appends a ground peak instead of elevating:
+        # the carried degree counts the repeat, the final word does not
+        from ascentdyck import bijection
+
+        def flat(path, u, a, m, last, e):
+            stepped = _forward_step_core(path, u, a, m, last, e)
+            return (path + "UD", 2, None) if stepped[1] == 2 else stepped
+
+        monkeypatch.setattr(bijection, "_forward_step_core", flat)
+        with pytest.raises(
+            InternalInvariant,
+            match="carried degree of elevation 1 != 0 measured on UDUDUD",
+        ):
+            forward(validate_ascent_sequence([0, 1, 1]))
 
 
 class TestForwardStep:
@@ -248,6 +267,20 @@ class TestRoundTrip:
 
 
 class TestStructuralInvariants:
+    def test_walker_carries_the_degree_of_elevation(self):
+        # the run statistic the walker hands each step is the degree of
+        # elevation of the parent word on every edge, not only at case 4
+        edges = 0
+
+        def step(path, v, a, m, last, e):
+            nonlocal edges
+            edges += 1
+            assert e == _degree_of_elevation(path), (path, v)
+            return _forward_step_core(path, v, a, m, last, e)
+
+        assert sum(1 for _ in _walk_021(9, step)) == 4862
+        assert edges > 4862
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_step_shapes(self, n):
         # only a zero entry leaves a long last ascent; the menu case also

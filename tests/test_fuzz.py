@@ -20,6 +20,8 @@ from ascentdyck import (
     path_statistics,
     sequence_statistics,
 )
+from ascentdyck.bijection import _forward_step_core
+from ascentdyck.paths import _degree_of_elevation
 
 SEED = 20140
 MEMBERS = 80
@@ -43,10 +45,26 @@ def members():
     return [draw_member(rng, rng.randint(15, 300)) for _ in range(MEMBERS)]
 
 
+def measured_forward(entries: tuple[int, ...]) -> str:
+    """The forward loop with the degree of elevation measured on the word
+    at every case-4 step instead of carried: the oracle for the carry."""
+    path = "UD"
+    a = m = last = 0
+    for u in entries[1:]:
+        menu_entry = u not in (0, last, a + 1)
+        e = _degree_of_elevation(path) if menu_entry else None
+        path = _forward_step_core(path, u, a, m, last, e)[0]
+        a += last < u
+        m = max(m, u)
+        last = u
+    return path
+
+
 @pytest.mark.parametrize("entries", members(), ids=lambda e: f"n{len(e)}")
 def test_random_member(entries):
     s = AscentSequence(entries)
     p = forward(s)
+    assert p.steps == measured_forward(entries)
     assert inverse(p) == s
 
     seq, path = sequence_statistics(s), path_statistics(p)
@@ -61,3 +79,9 @@ def test_random_member(entries):
     for record in trace.records:
         assert classify_inverse_case(record.path_after) == record.case_id, record.position
     assert inverse_trace(p).sequence == s
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_carried_degree_matches_the_measured_one_at_2000_entries(seed):
+    entries = draw_member(random.Random(SEED + seed), 2000)
+    assert forward(AscentSequence(entries)).steps == measured_forward(entries)

@@ -38,7 +38,7 @@ from ascentdyck import (
     valley_count,
     vertex_height,
 )
-from ascentdyck.paths import DOWN, UP
+from ascentdyck.paths import DOWN, UP, _is_valid_steps
 
 from conftest import all_dyck_words, catalan_binomial, stack_matching
 
@@ -67,6 +67,15 @@ class TestParse:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             parse_path("")
+
+    @pytest.mark.parametrize(
+        "steps, valid",
+        [("UD", True), ("UUDUDD", True), ("", False), ("UDU", False),
+         ("DU", False), ("UUDDDU", False), ("UUxx", False), ("UxUD", False)],
+    )
+    def test_fast_validity_test(self, steps, valid):
+        # half the steps U is not enough: the other half must be D
+        assert _is_valid_steps(steps) is valid
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_text_roundtrip(self, n):

@@ -12,11 +12,13 @@ from ascentdyck import (
     check_invariants,
     check_roundtrip,
     check_statistics,
+    enumerate_021_avoiding,
     forward_step,
     validate_ascent_sequence,
 )
 from ascentdyck.cli import main
 from ascentdyck.errors import InputError, InternalInvariant
+from ascentdyck.verify import Failure
 
 from conftest import catalan_binomial
 
@@ -74,8 +76,8 @@ class TestChecks:
 
         core = verify._forward_step_core
 
-        def broken(path, v, a, m, last):
-            stepped = core(path, v, a, m, last)
+        def broken(path, v, a, m, last, e):
+            stepped = core(path, v, a, m, last, e)
             if stepped[1] == 3:
                 raise InternalInvariant("case 3 refused")
             return stepped
@@ -94,8 +96,8 @@ class TestChecks:
 
         core = verify._forward_step_core
 
-        def mislabelled(path, v, a, m, last):
-            stepped = core(path, v, a, m, last)
+        def mislabelled(path, v, a, m, last, e):
+            stepped = core(path, v, a, m, last, e)
             return (path + "UD", 2, None) if stepped[1] == 2 else stepped
 
         monkeypatch.setattr(verify, "_forward_step_core", mislabelled)
@@ -111,6 +113,59 @@ class TestChecks:
         with pytest.raises(InternalInvariant, match="case 2 step left a case-3 shape"):
             forward_step(DyckPath("UDUD"), validate_ascent_sequence([0, 1]), 1)
 
+    def test_invariants_check_the_carried_degree(self, monkeypatch):
+        # a walker that hands every step one more than the carried degree
+        # of elevation: only case 4 reads it, so exactly the first menu
+        # entry of each branch is witnessed, and its subtree pruned
+        from ascentdyck import sequences, verify
+
+        def drifted(n, step):
+            def off_by_one(path, v, a, m, last, e):
+                return step(path, v, a, m, last, None if e is None else e + 1)
+
+            return sequences._walk_021(n, off_by_one)
+
+        def menu_positions(s):
+            # 0-based positions whose entry is neither 0, a repeat, nor a
+            # new maximum one above the ascents before it
+            return [i for i in range(1, len(s)) if s[i] not in
+                    (0, s[i - 1], 1 + sum(s[j] < s[j + 1] for j in range(i - 1)))]
+
+        n = 6
+        first_menu = sorted(
+            seq.entries for k in range(2, n + 1) for seq in enumerate_021_avoiding(k)
+            if menu_positions(seq.entries) == [k - 1]
+        )
+        monkeypatch.setattr(verify, "_walk_021", drifted)
+        report = check_invariants(n)
+        assert [f.witness for f in report.failures] == [
+            ",".join(map(str, s)) for s in first_menu
+        ]
+        assert all(f.detail.startswith("carried degree of elevation ")
+                   for f in report.failures)
+        assert report.sequences_checked == sum(
+            1 for seq in enumerate_021_avoiding(n) if not menu_positions(seq.entries)
+        )
+
+    def test_bijectivity_files_foreign_characters_as_invalid_images(self, monkeypatch):
+        # a core whose last step writes x for D: the word still has n
+        # upsteps in 2n steps, so only its alphabet shows it is no path
+        from ascentdyck import verify
+
+        core = verify._forward_step_core
+
+        def foreign(path, v, a, m, last, e):
+            stepped = core(path, v, a, m, last, e)
+            if len(path) == 6:
+                return (stepped[0].replace("D", "x"), *stepped[1:])
+            return stepped
+
+        monkeypatch.setattr(verify, "_forward_step_core", foreign)
+        report = check_bijectivity(4)
+        assert [f.kind for f in report.failures] == ["invalid-image"] * 14 + ["coverage"]
+        assert report.failures[0] == Failure("invalid-image", "0,0,0,0", "image UUUUxxxx")
+        assert report.paths_checked == 0
+
     def test_failures_beyond_the_witness_cap_are_counted(self, monkeypatch, capsys):
         # a core that refuses every zero after the first ascent fails far
         # more edges than the 100 witnesses a report keeps
@@ -119,12 +174,12 @@ class TestChecks:
         core = verify._forward_step_core
         raised = 0
 
-        def broken(path, v, a, m, last):
+        def broken(path, v, a, m, last, e):
             nonlocal raised
             if v == 0 and a:
                 raised += 1
                 raise InternalInvariant("zero after an ascent")
-            return core(path, v, a, m, last)
+            return core(path, v, a, m, last, e)
 
         monkeypatch.setattr(verify, "_forward_step_core", broken)
         report = check_invariants(9)
@@ -164,9 +219,9 @@ class TestChecks:
 
         core = verify._forward_step_core
 
-        def broken(path, v, a, m, last):
-            stepped = core(path, v, a, m, last)
-            return core(path, 0, a, m, last) if stepped[1] == 3 else stepped
+        def broken(path, v, a, m, last, e):
+            stepped = core(path, v, a, m, last, e)
+            return core(path, 0, a, m, last, e) if stepped[1] == 3 else stepped
 
         monkeypatch.setattr(verify, "_forward_step_core", broken)
         roundtrip, bijectivity = check_roundtrip(3), check_bijectivity(3)
