@@ -30,8 +30,8 @@ measured, so that a step costs no scan of the word:
           lowers it to ground.
 
 On the sequence side e is the run of entries equal to, and just left
-of, the last nonzero entry, which is how the family walker and the
-forward loops update it.  ``forward`` checks the carried e against the
+of, the last nonzero entry, which is how ``sequences._grow`` updates it
+as part of the prefix state.  ``forward`` checks the carried e against the
 final word once, and ``check_invariants`` against the parent word on
 every case-4 edge of its sweep.
 
@@ -47,8 +47,8 @@ from typing import Iterator, Union
 
 from .errors import (
     EntryNotAllowed,
+    InputError,
     InternalInvariant,
-    Not021Avoiding,
     SizeZero,
     TooSmall,
 )
@@ -64,13 +64,14 @@ from .paths import (
     key_downsteps,
 )
 from .sequences import (
+    _ROOT,
     AllowableList,
     AscentSequence,
     _allowable,
-    _first_021_violation,
+    _grow,
     _menu_low,
     _next_values,
-    _prefix_state,
+    _require_021,
     _walk_021,
 )
 
@@ -187,17 +188,18 @@ class InverseTrace:
 # -- forward map --------------------------------------------------------------
 
 
-def _forward_step_core(path: str, u: int, a: int, m: int, last: int, e: int | None):
+def _forward_step_core(path: str, u: int, state):
     """Apply one growth step to a raw step word.
 
-    (a, m, last) are the ascent count, maximum and last entry of the
-    prefix already folded in, and e is the degree of elevation of
-    ``path``, which the caller carries (see the module docstring); only
-    case 4 reads it, as the number of upsteps to transfer.  Returns
+    ``state`` is the prefix state (see ``sequences._ROOT``) of the prefix
+    already folded in, whose image is ``path``; its degree of elevation
+    e is carried, not measured (see the module docstring), and only case
+    4 reads it, as the number of upsteps to transfer.  Returns
     (new_path, case_id, extras) with extras = (menu_position,
     elevation_degree) for case 4 and None otherwise.  The caller
     guarantees u extends the prefix legally.
     """
+    a, m, last, e = state
     if u == 0:
         i = path.rfind("UD")
         return path[: i + 1] + "UD" + path[i + 1 :], 1, None
@@ -224,21 +226,14 @@ def _forward_step_core(path: str, u: int, a: int, m: int, last: int, e: int | No
     return new, 4, (u - lo + 1, e)
 
 
-def _forward_entries(entries) -> tuple[str, int | None]:
-    # the image word and its carried degree of elevation
-    path = "UD"
-    a = m = last = 0
-    e = None
+def _forward_entries(entries):
+    # the image word of a family member and its prefix state
+    _require_021(entries)
+    path, state = "UD", _ROOT
     for u in entries[1:]:
-        path = _forward_step_core(path, u, a, m, last, e)[0]
-        if u:
-            e = e + 1 if u == last else 0
-        if last < u:
-            a += 1
-        if m < u:
-            m = u
-        last = u
-    return path, e
+        path = _forward_step_core(path, u, state)[0]
+        state = _grow(state, u)
+    return path, state
 
 
 def _assert_classified_as(steps: str, case_id: int) -> None:
@@ -259,19 +254,18 @@ def _assert_carried_degree(steps: str, e: int | None) -> None:
         )
 
 
-def _forward_record(P: DyckPath, u: int, a: int, m: int, last: int,
-                    e: int | None, position: int) -> ForwardStepRecord:
-    # one checked step from P, the image of a prefix with state
-    # (a, m, last, e), by the legal entry u at 1-based ``position``
+def _forward_record(P: DyckPath, u: int, state, position: int) -> ForwardStepRecord:
+    # one checked step from P, the image of a prefix in ``state``, by the
+    # legal entry u at 1-based ``position``
     keys_before = tuple(key_downsteps(P))
-    new_steps, case_id, extras = _forward_step_core(P.steps, u, a, m, last, e)
+    new_steps, case_id, extras = _forward_step_core(P.steps, u, state)
     _assert_classified_as(new_steps, case_id)
     menu_position, lift = extras or (None, None)
     return ForwardStepRecord(
         position=position,
         entry=u,
         case_id=case_id,
-        allowable=_allowable(a, m, last) if case_id == 4 else None,
+        allowable=_allowable(state) if case_id == 4 else None,
         allowable_index=menu_position,
         elevation_degree=lift,
         key_downsteps_before=keys_before,
@@ -282,54 +276,42 @@ def _forward_record(P: DyckPath, u: int, a: int, m: int, last: int,
 def forward_step(P: DyckPath, prefix: AscentSequence, u: int) -> tuple[DyckPath, ForwardStepRecord]:
     """Grow the image path of ``prefix`` by the entry ``u``.
 
-    ``P`` must be the image of ``prefix``; its degree of elevation is
-    measured, since nothing carries it here.  Rejects a ``u`` that does
-    not extend the prefix inside the family; any shape violation
-    afterwards raises :class:`InternalInvariant` rather than returning
-    garbage.
+    Rejects a ``prefix`` outside the family, a ``P`` that is not its
+    image, and a ``u`` that does not extend it inside the family, each
+    with an :class:`InputError`; any shape violation afterwards raises
+    :class:`InternalInvariant` rather than returning garbage.  Checking
+    ``P`` maps the prefix afresh; :func:`forward_trace` avoids that cost.
     """
-    a, m, last = _prefix_state(prefix.entries)
-    allowed = _next_values(a, m)
+    image, state = _forward_entries(prefix.entries)
+    if P.steps != image:
+        raise InputError(f"{P} is not the image {image} of the prefix {prefix}")
+    allowed = _next_values(state)
     if u not in allowed:
         raise EntryNotAllowed(entry=u, allowed=allowed)
-    record = _forward_record(
-        P, u, a, m, last, _degree_of_elevation(P.steps), len(prefix) + 1
-    )
+    record = _forward_record(P, u, state, len(prefix) + 1)
     return record.path_after, record
 
 
 def forward(seq: AscentSequence) -> DyckPath:
     """Map a 021-avoiding ascent sequence to its Dyck path."""
-    bad = _first_021_violation(seq.entries)
-    if bad is not None:
-        raise Not021Avoiding(position=bad)
-    path, e = _forward_entries(seq.entries)
-    _assert_carried_degree(path, e)
+    path, state = _forward_entries(seq.entries)
+    _assert_carried_degree(path, state[3])
     return DyckPath(path)
 
 
 def forward_trace(seq: AscentSequence) -> ForwardTrace:
     """Like :func:`forward` but keeping every step record."""
     entries = seq.entries
-    bad = _first_021_violation(entries)
-    if bad is not None:
-        raise Not021Avoiding(position=bad)
+    _require_021(entries)
     initial = path = DyckPath("UD")
     records = []
-    a = m = last = 0
-    e = None
+    state = _ROOT
     for i in range(1, len(entries)):
         u = entries[i]
-        record = _forward_record(path, u, a, m, last, e, i + 1)
+        record = _forward_record(path, u, state, i + 1)
         records.append(record)
         path = record.path_after
-        if u:
-            e = e + 1 if u == last else 0
-        if last < u:
-            a += 1
-        if m < u:
-            m = u
-        last = u
+        state = _grow(state, u)
     return ForwardTrace(initial=initial, records=tuple(records))
 
 

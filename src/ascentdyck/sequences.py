@@ -13,6 +13,7 @@ Positions are 1-based everywhere in reports and error messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -21,6 +22,7 @@ from .errors import (
     FirstEntryNonzero,
     InputError,
     NegativeEntry,
+    Not021Avoiding,
     SizeZero,
 )
 
@@ -79,7 +81,7 @@ def parse_sequence(text: str) -> AscentSequence:
                     f"cannot read {field!r} as an integer entry"
                 ) from None
         return AscentSequence(tuple(entries))
-    if not t.isdigit():
+    if not t.isdecimal():
         raise InputError(
             f"cannot read {t!r}: use comma-separated entries or a digit string"
         )
@@ -106,6 +108,12 @@ def _first_021_violation(entries: Sequence[int]) -> int | None:
                 return i + 1
             prev = u
     return None
+
+
+def _require_021(entries: Sequence[int]) -> None:
+    bad = _first_021_violation(entries)
+    if bad is not None:
+        raise Not021Avoiding(position=bad)
 
 
 def contains_pattern_021_bruteforce(entries: Sequence[int]) -> bool:
@@ -155,10 +163,31 @@ class AllowableList:
         return self.values.index(value) + 1
 
 
-def _prefix_state(entries: Sequence[int]) -> tuple[int, int, int]:
-    # (ascents, max entry, last entry) of a valid prefix
-    a = sum(1 for i in range(len(entries) - 1) if entries[i] < entries[i + 1])
-    return a, max(entries), entries[-1]
+# The prefix state: ascent count a, maximum m, last entry, and e, the run
+# of entries equal to and just left of the last nonzero entry (None while
+# all are 0; on the path side, the degree of elevation).  _ROOT is the
+# state of the prefix 0, and _grow is the only rule that updates it.
+_ROOT = (0, 0, 0, None)
+
+
+def _grow(state, v):
+    # the state after appending the legal entry v
+    a, m, last, e = state
+    if v:
+        # a repeated nonzero entry lengthens the run; any other
+        # nonzero entry differs from its left neighbour
+        e = e + 1 if v == last else 0
+        if last < v:
+            a += 1
+        if m < v:
+            m = v
+    return a, m, v, e
+
+
+def _prefix_state(entries: Sequence[int]):
+    # the state of a valid ascent sequence; Not021Avoiding outside the family
+    _require_021(entries)
+    return reduce(_grow, entries[1:], _ROOT)
 
 
 def _menu_low(m: int, last: int) -> int:
@@ -166,15 +195,17 @@ def _menu_low(m: int, last: int) -> int:
     return max(m, 1) if last == 0 else m + 1
 
 
-def _next_values(a: int, m: int) -> list[int]:
-    # every legal next entry after a prefix with a ascents and maximum m,
-    # ascending: a nonzero last entry equals m, so the nonzero values are
-    # max(m, 1)..a+1 whatever the last entry
+def _next_values(state) -> list[int]:
+    # every legal next entry after a prefix in this state, ascending: a
+    # nonzero last entry equals m, so the nonzero values are max(m, 1)..a+1
+    # whatever the last entry
+    a, m = state[:2]
     return [0, *range(max(m, 1), a + 2)]
 
 
-def _allowable(a: int, m: int, last: int) -> AllowableList:
-    # the menu after a prefix with prefix state (a, m, last)
+def _allowable(state) -> AllowableList:
+    # the menu after a prefix in this state
+    a, m, last, _ = state
     return AllowableList(
         tuple(range(_menu_low(m, last), a + 1)), max_entry=m, ascent_count=a
     )
@@ -188,9 +219,9 @@ def allowable_nonzero_values(prefix: AscentSequence) -> AllowableList:
     With a = ascents and m = max entry of the prefix, the menu is
     [max(m,1), a] after a zero entry and [m+1, a] after a nonzero one
     (a nonzero last entry always equals m here).  Empty when the lower
-    bound exceeds a.
+    bound exceeds a.  A prefix outside the family raises Not021Avoiding.
     """
-    return _allowable(*_prefix_state(prefix.entries))
+    return _allowable(_prefix_state(prefix.entries))
 
 
 def allowable_next_values(prefix: AscentSequence) -> list[int]:
@@ -198,59 +229,48 @@ def allowable_next_values(prefix: AscentSequence) -> list[int]:
     sequence of this family, in ascending order.
 
     Besides 0, the nonzero menu and the new-maximum value a+1, this always
-    includes a repeat of the last entry when that entry is nonzero.
+    includes a repeat of the last entry when that entry is nonzero.  A
+    prefix outside the family, which nothing extends, raises Not021Avoiding.
     """
-    a, m, _ = _prefix_state(prefix.entries)
-    return _next_values(a, m)
+    return _next_values(_prefix_state(prefix.entries))
 
 
 def _walk_021(n: int, step=None):
     """Depth-first walk, in lexicographic order, over the family of length n.
 
     Yields (buf, path) at every leaf, reusing buf for the entries in
-    place.  ``step(path, v, a, m, last, e)``, when given, runs on every
-    edge in walk order with the parent's path and prefix state and the
-    new entry v.  The prefix state is the ascent count a, the maximum m,
-    the last entry and e, the run of entries equal to and just left of
-    the last nonzero entry (None while every entry is 0); on the path
-    side e is the degree of elevation.  The step's None prunes the
-    subtree, and otherwise its ``[0]`` is the child's path, "UD" at the
-    root.  Without ``step``, path is None.  The stack is explicit, so
-    the depth is not bounded by the recursion limit.
+    place.  ``step(path, v, state)``, when given, runs on every edge in
+    walk order with the parent's path and prefix state (see ``_ROOT``)
+    and the new entry v.  The step's None prunes the subtree, and
+    otherwise its ``[0]`` is the child's path, "UD" at the root.  Without
+    ``step``, path is None.  The stack is explicit, so the depth is not
+    bounded by the recursion limit.
     """
     buf = [0] * n
     stack = []
     push = stack.append
     pop = stack.pop
-    i, path, a, m, last, e = 1, ("UD" if step is not None else None), 0, 0, 0, None
+    i, path, state = 1, ("UD" if step is not None else None), _ROOT
     while True:
         if i == n:
             yield buf, path
         else:
             # pushed in reverse so that they pop in ascending order
-            for v in reversed(_next_values(a, m)):
-                push((i, v, path, a, m, last, e))
+            for v in reversed(_next_values(state)):
+                push((i, v, path, state))
         # descend along the next edge the step keeps; none left ends the walk
         while stack:
-            i, v, path, a, m, last, e = pop()
+            i, v, path, state = pop()
             buf[i] = v
             if step is None:
                 break
-            stepped = step(path, v, a, m, last, e)
+            stepped = step(path, v, state)
             if stepped is not None:
                 path = stepped[0]
                 break
         else:
             return
-        if v:
-            # a repeated nonzero entry lengthens the run; any other
-            # nonzero entry differs from its left neighbour
-            e = e + 1 if v == last else 0
-        if last < v:
-            a += 1
-        if m < v:
-            m = v
-        last = v
+        state = _grow(state, v)
         i += 1
 
 

@@ -239,7 +239,7 @@ def check_invariants(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     bad = _Witnesses()
     buf = [0] * n
 
-    def checked_step(path, v, a, m, last, e):
+    def checked_step(path, v, state):
         # edges arrive in walk order, so buf[:i] still holds the parent
         # prefix when the edge from size i is checked
         i = len(path) // 2
@@ -247,9 +247,9 @@ def check_invariants(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
         try:
             # the core itself asserts the menu/key-downstep length match
             # and that the menu case never reaches a pyramid
-            stepped = _forward_step_core(path, v, a, m, last, e)
+            stepped = _forward_step_core(path, v, state)
             if stepped[1] == 4:
-                _assert_carried_degree(path, e)
+                _assert_carried_degree(path, state[3])
             _assert_classified_as(stepped[0], stepped[1])
         except InternalInvariant as exc:
             bad.add("step-invariant", ",".join(map(str, buf[: i + 1])), str(exc))

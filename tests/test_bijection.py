@@ -5,6 +5,7 @@ import pytest
 from ascentdyck import (
     DyckPath,
     EntryNotAllowed,
+    InputError,
     Not021Avoiding,
     REPEAT_PREVIOUS,
     StepRef,
@@ -29,7 +30,9 @@ from ascentdyck import (
 from ascentdyck.bijection import _forward_step_core
 from ascentdyck.errors import InternalInvariant
 from ascentdyck.paths import DOWN, _degree_of_elevation
-from ascentdyck.sequences import _walk_021
+from ascentdyck.sequences import _prefix_state, _sequence_stats_raw, _walk_021
+
+from conftest import catalan_binomial
 
 WORKED_SEQUENCE = [0, 1, 0, 1, 2, 2, 0, 3]
 WORKED_PATH = "UDUUUDUDUUDDUDDD"
@@ -65,8 +68,8 @@ class TestForward:
         # the carried degree counts the repeat, the final word does not
         from ascentdyck import bijection
 
-        def flat(path, u, a, m, last, e):
-            stepped = _forward_step_core(path, u, a, m, last, e)
+        def flat(path, u, state):
+            stepped = _forward_step_core(path, u, state)
             return (path + "UD", 2, None) if stepped[1] == 2 else stepped
 
         monkeypatch.setattr(bijection, "_forward_step_core", flat)
@@ -100,6 +103,21 @@ class TestForwardStep:
         assert (rec.case_id, rec.allowable_index, rec.elevation_degree) == (4, 2, 1)
         assert rec.allowable.values == (2, 3)
         assert [r.index for r in rec.key_downsteps_before] == [12, 13]
+
+    def test_prefix_outside_the_family(self):
+        # no extension of 0,1,2,1 lies in the family
+        with pytest.raises(Not021Avoiding) as info:
+            forward_step(DyckPath("UD"), validate_ascent_sequence([0, 1, 2, 1]), 0)
+        assert info.value.position == 4
+
+    @pytest.mark.parametrize(
+        "path,prefix,u", [("UDUD", [0, 1, 0], 0), ("UUDD", [0, 1], 1)]
+    )
+    def test_path_not_the_image_of_the_prefix(self, path, prefix, u):
+        # a path one size short, and a path of the right size that is the
+        # image of 0,0: the caller is at fault, not the construction
+        with pytest.raises(InputError, match="is not the image"):
+            forward_step(DyckPath(path), validate_ascent_sequence(prefix), u)
 
     def test_entry_not_allowed(self):
         with pytest.raises(EntryNotAllowed):
@@ -268,18 +286,28 @@ class TestRoundTrip:
 
 class TestStructuralInvariants:
     def test_walker_carries_the_degree_of_elevation(self):
-        # the run statistic the walker hands each step is the degree of
-        # elevation of the parent word on every edge, not only at case 4
+        # on every edge the walker hands the step the parent prefix's state,
+        # as the fold of _grow gives it and as the definitions give it, and
+        # its e is the degree of elevation of the parent word, not only at
+        # case 4
+        buf = [0] * 9
         edges = 0
 
-        def step(path, v, a, m, last, e):
+        def step(path, v, state):
             nonlocal edges
             edges += 1
-            assert e == _degree_of_elevation(path), (path, v)
-            return _forward_step_core(path, v, a, m, last, e)
+            i = len(path) // 2
+            prefix = buf[:i]
+            buf[i] = v
+            ascents = sum(x < y for x, y in zip(prefix, prefix[1:]))
+            assert state == _prefix_state(prefix) == (
+                ascents, max(prefix), prefix[-1], _sequence_stats_raw(prefix)[4]
+            ), (prefix, v)
+            assert state[3] == _degree_of_elevation(path), (path, v)
+            return _forward_step_core(path, v, state)
 
         assert sum(1 for _ in _walk_021(9, step)) == 4862
-        assert edges > 4862
+        assert edges == sum(catalan_binomial(k) for k in range(2, 10))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_step_shapes(self, n):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -45,6 +46,13 @@ class TestMap:
         assert out == ""
         assert "not 021-avoiding" in err
         assert "4" in err  # names the offending position
+
+    @pytest.mark.parametrize("argv", [["map", "0\u00b2"], ["stats", "--seq", "0\u00b9"]])
+    def test_superscript_digit_is_input_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_invalid_sequence(self, capsys):
         code, _, err = run_cli(capsys, "map", "0,2")
@@ -225,6 +233,32 @@ class TestVerify:
     def test_unknown_check(self, capsys):
         code, _, err = run_cli(capsys, "verify", "3", "--checks", "nonsense")
         assert code == 1
+
+
+class TestByteIdentity:
+    # SHA-256 of outputs that a refactor must leave byte for byte as they
+    # are; verify's reports are hashed without their elapsed_seconds
+    @pytest.mark.parametrize("argv,digest", [
+        (["verify", "10", "--json"],
+         "34a2e742e4efb421cd9214c5200334a006c17517cbe2758192978249dc27a32a"),
+        (["enumerate", "10", "--stats", "--side", "seq"],
+         "5cd79f4e4a521fafaa39b987a1e80989420f4ec7918aa1b517912f5ae73a3c7e"),
+        (["enumerate", "10", "--stats", "--side", "path"],
+         "6f8696f379edc05e1bef4aa56bb1bdea34d482d5c3745f66ed169f4dbbd243ea"),
+        (["enumerate", "10", "--stats", "--side", "pairs"],
+         "3e5e2725069d2bbcefd73d17f3b73f88baf2fe64d56c6e4975917cd341200404"),
+        (["map", "0,1,0,1,2,2,0,3", "--trace", "--format", "json"],
+         "64402423b0c12d4d727bedc680f273b56a5ddda29d81fbfd01271ff1f4901ff2"),
+    ], ids=["verify", "enumerate-seq", "enumerate-path", "enumerate-pairs", "map-trace"])
+    def test_output_digest(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        if argv[0] == "verify":
+            reports = json.loads(out)
+            for report in reports:
+                del report["elapsed_seconds"]
+            out = json.dumps(reports)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestRender:

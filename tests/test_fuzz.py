@@ -14,6 +14,7 @@ from ascentdyck import (
     AscentSequence,
     classify_inverse_case,
     forward,
+    forward_step,
     forward_trace,
     inverse,
     inverse_trace,
@@ -53,7 +54,7 @@ def measured_forward(entries: tuple[int, ...]) -> str:
     for u in entries[1:]:
         menu_entry = u not in (0, last, a + 1)
         e = _degree_of_elevation(path) if menu_entry else None
-        path = _forward_step_core(path, u, a, m, last, e)[0]
+        path = _forward_step_core(path, u, (a, m, last, e))[0]
         a += last < u
         m = max(m, u)
         last = u
@@ -76,8 +77,13 @@ def test_random_member(entries):
 
     trace = forward_trace(s)
     assert trace.final_path == p
+    path = trace.initial
     for record in trace.records:
         assert classify_inverse_case(record.path_after) == record.case_id, record.position
+        # forward_step from the bare prefix, deriving its own state
+        k = record.position - 1
+        path, stepped = forward_step(path, AscentSequence(entries[:k]), entries[k])
+        assert stepped == record
     assert inverse_trace(p).sequence == s
 
 

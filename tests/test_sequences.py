@@ -7,6 +7,7 @@ from ascentdyck import (
     FirstEntryNonzero,
     InputError,
     NegativeEntry,
+    Not021Avoiding,
     SizeZero,
     allowable_next_values,
     allowable_nonzero_values,
@@ -75,6 +76,8 @@ class TestParsing:
 
     def test_compact_form(self):
         assert parse_sequence("01012203") == parse_sequence("0,1,0,1,2,2,0,3")
+        # any decimal digit reads as int() reads it, as in the comma form
+        assert parse_sequence("0\u0661") == parse_sequence("0,\u0661")
 
     def test_whitespace_tolerated(self):
         assert parse_sequence(" 0, 1 ,2 ").entries == (0, 1, 2)
@@ -83,7 +86,8 @@ class TestParsing:
         seq = parse_sequence("0,1,0,1,2,2,0,3")
         assert parse_sequence(str(seq)) == seq
 
-    @pytest.mark.parametrize("text", ["", "  ", "0,x", "abc", "0.5"])
+    # superscripts pass str.isdigit() but not int()
+    @pytest.mark.parametrize("text", ["", "  ", "0,x", "abc", "0.5", "0\u00b2", "0\u00b9"])
     def test_garbage_rejected(self, text):
         with pytest.raises(InputError):
             parse_sequence(text)
@@ -169,6 +173,14 @@ class TestAllowable:
     )
     def test_next_values(self, prefix, expected):
         assert allowable_next_values(validate_ascent_sequence(prefix)) == expected
+
+    def test_prefix_outside_the_family_has_no_menu(self):
+        # no extension of 0,1,2,1 lies in the family
+        prefix = validate_ascent_sequence([0, 1, 2, 1])
+        for menu in (allowable_next_values, allowable_nonzero_values):
+            with pytest.raises(Not021Avoiding) as info:
+                menu(prefix)
+            assert info.value.position == 4
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_next_values_match_bruteforce(self, n):

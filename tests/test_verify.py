@@ -76,8 +76,8 @@ class TestChecks:
 
         core = verify._forward_step_core
 
-        def broken(path, v, a, m, last, e):
-            stepped = core(path, v, a, m, last, e)
+        def broken(path, v, state):
+            stepped = core(path, v, state)
             if stepped[1] == 3:
                 raise InternalInvariant("case 3 refused")
             return stepped
@@ -96,8 +96,8 @@ class TestChecks:
 
         core = verify._forward_step_core
 
-        def mislabelled(path, v, a, m, last, e):
-            stepped = core(path, v, a, m, last, e)
+        def mislabelled(path, v, state):
+            stepped = core(path, v, state)
             return (path + "UD", 2, None) if stepped[1] == 2 else stepped
 
         monkeypatch.setattr(verify, "_forward_step_core", mislabelled)
@@ -120,8 +120,9 @@ class TestChecks:
         from ascentdyck import sequences, verify
 
         def drifted(n, step):
-            def off_by_one(path, v, a, m, last, e):
-                return step(path, v, a, m, last, None if e is None else e + 1)
+            def off_by_one(path, v, state):
+                *head, e = state
+                return step(path, v, (*head, None if e is None else e + 1))
 
             return sequences._walk_021(n, off_by_one)
 
@@ -154,8 +155,8 @@ class TestChecks:
 
         core = verify._forward_step_core
 
-        def foreign(path, v, a, m, last, e):
-            stepped = core(path, v, a, m, last, e)
+        def foreign(path, v, state):
+            stepped = core(path, v, state)
             if len(path) == 6:
                 return (stepped[0].replace("D", "x"), *stepped[1:])
             return stepped
@@ -174,12 +175,12 @@ class TestChecks:
         core = verify._forward_step_core
         raised = 0
 
-        def broken(path, v, a, m, last, e):
+        def broken(path, v, state):
             nonlocal raised
-            if v == 0 and a:
+            if v == 0 and state[0]:
                 raised += 1
                 raise InternalInvariant("zero after an ascent")
-            return core(path, v, a, m, last, e)
+            return core(path, v, state)
 
         monkeypatch.setattr(verify, "_forward_step_core", broken)
         report = check_invariants(9)
@@ -219,9 +220,9 @@ class TestChecks:
 
         core = verify._forward_step_core
 
-        def broken(path, v, a, m, last, e):
-            stepped = core(path, v, a, m, last, e)
-            return core(path, 0, a, m, last, e) if stepped[1] == 3 else stepped
+        def broken(path, v, state):
+            stepped = core(path, v, state)
+            return core(path, 0, state) if stepped[1] == 3 else stepped
 
         monkeypatch.setattr(verify, "_forward_step_core", broken)
         roundtrip, bijectivity = check_roundtrip(3), check_bijectivity(3)
