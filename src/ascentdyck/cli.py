@@ -50,7 +50,7 @@ from .verify import (
     check_statistics,
 )
 
-class _CliUsage(Exception):
+class _CliUsage(InputError):
     pass
 
 
@@ -86,20 +86,17 @@ def _record_json(rec: ForwardStepRecord) -> dict:
 def _forward_trace_lines(trace, fmt: str) -> list[str]:
     lines = [f"start {_path_text(trace.initial, fmt)}"]
     for rec in trace.records:
-        keys = ",".join(str(r.index) for r in rec.key_downsteps_before)
-        path = _path_text(rec.path_after, fmt)
+        menu = ""
         if rec.case_id == 4:
-            menu = ",".join(map(str, rec.allowable.values))
-            lines.append(
-                f"position {rec.position}: entry {rec.entry}, case 4, "
-                f"allowable ({menu}), index {rec.allowable_index}, "
-                f"elevation {rec.elevation_degree}, keys [{keys}], path {path}"
+            menu = (
+                f"allowable ({','.join(map(str, rec.allowable.values))}), "
+                f"index {rec.allowable_index}, elevation {rec.elevation_degree}, "
             )
-        else:
-            lines.append(
-                f"position {rec.position}: entry {rec.entry}, "
-                f"case {rec.case_id}, keys [{keys}], path {path}"
-            )
+        keys = ",".join(str(r.index) for r in rec.key_downsteps_before)
+        lines.append(
+            f"position {rec.position}: entry {rec.entry}, case {rec.case_id}, "
+            f"{menu}keys [{keys}], path {_path_text(rec.path_after, fmt)}"
+        )
     return lines
 
 
@@ -207,13 +204,15 @@ def _cmd_verify(args) -> int:
             + ("" if args.extended else " (use --extended for up to 14)")
         )
     names = args.checks.split(",") if args.checks else list(_CHECKS)
-    reports = []
+    names = [name.strip() for name in names]
     for name in names:
-        name = name.strip()
+        # every name is checked before the first sweep starts
         if name not in _CHECKS:
             raise InputError(
                 f"unknown check {name!r}; choose from {','.join(_CHECKS)}"
             )
+    reports = []
+    for name in names:
         if name == "characterization":
             # the brute-force oracle is cubic; its sweep is capped at
             # length 10 regardless of the requested size
@@ -289,16 +288,11 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _CliUsage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except BrokenPipeError:
         # keep the interpreter's shutdown flush from dying on the closed pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -26,6 +26,12 @@ class FirstEntryNonzero(InputError):
     pass
 
 
+class NonIntegerEntry(InputError):
+    def __init__(self, position: int, entry):
+        super().__init__(f"entry {entry!r} at position {position} is not an integer")
+        self.position = position
+
+
 class NegativeEntry(InputError):
     def __init__(self, position: int, entry: int):
         super().__init__(f"entry {entry} at position {position} is negative")

@@ -40,6 +40,8 @@ _STEP_HEIGHT = {UP: 1, DOWN: -1}
 
 
 def _validate_steps(steps: str) -> None:
+    if not isinstance(steps, str):
+        raise InputError(f"a Dyck path is a step word, got {type(steps).__name__}")
     if not steps:
         raise EmptyInput("a Dyck path has at least one step")
     bal = 0
@@ -365,11 +367,8 @@ def transfer_upsteps_to_front(p: DyckPath, count: int, before_up: StepRef) -> Dy
         raise NotEnoughUpsteps(
             f"fewer than {count} upsteps precede step {before_up.index} in its ascent"
         )
-    edited = UP * count + s[: i0 - count] + s[i0:]
-    try:
-        return DyckPath(edited)
-    except InputError as exc:
-        raise ResultInvalid(f"transfer would produce an invalid path: {exc}") from exc
+    # moving upsteps to the front only raises the vertices they pass
+    return DyckPath(UP * count + s[: i0 - count] + s[i0:])
 
 
 # -- enumeration, statistics, rendering -------------------------------------

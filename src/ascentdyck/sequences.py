@@ -22,6 +22,7 @@ from .errors import (
     FirstEntryNonzero,
     InputError,
     NegativeEntry,
+    NonIntegerEntry,
     Not021Avoiding,
     SizeZero,
 )
@@ -38,6 +39,10 @@ class AscentSequence:
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise EmptyInput("an ascent sequence has at least one entry")
+        if not {int}.issuperset(map(type, entries)):
+            # exactly int: a bool, float or digit string is no entry
+            i = next(i for i, u in enumerate(entries) if type(u) is not int)
+            raise NonIntegerEntry(position=i + 1, entry=entries[i])
         if entries[0] != 0:
             raise FirstEntryNonzero(
                 f"first entry must be 0, got {entries[0]} at position 1"

@@ -298,16 +298,9 @@ def check_statistics(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     ok = [True] * 5
 
     def visit(buf, path):
-        s = _sequence_stats_raw(buf)
-        p = _path_stats_raw(path)
-        pairs = (
-            (s[0], p[0]),
-            (s[1], p[1] - 1),
-            (s[2], p[2]),
-            (s[3], p[3]),
-            (s[4], p[4]),
-        )
-        for idx, (left, right) in enumerate(pairs):
+        p = list(_path_stats_raw(path))
+        p[1] -= 1  # terminal zeros mirror the last ascent less one
+        for idx, (left, right) in enumerate(zip(_sequence_stats_raw(buf), p)):
             if left != right:
                 ok[idx] = False
                 bad.add("statistic", ",".join(map(str, buf)),
@@ -323,6 +316,8 @@ def check_characterization(max_len: int = 10, max_val: int | None = 6) -> Verify
     ``max_val`` of None bounds entries by the ascent condition alone."""
     if not 1 <= max_len <= 12:
         raise CapExceeded(f"length bound {max_len} outside 1..12")
+    if max_val is not None and max_val < 0:
+        raise CapExceeded(f"value bound {max_val} is negative")
     bad = _Witnesses()
     buf = [0] * max_len
     checked = 0

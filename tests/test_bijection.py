@@ -123,6 +123,9 @@ class TestForwardStep:
         with pytest.raises(EntryNotAllowed):
             forward_step(DyckPath("UD"), validate_ascent_sequence([0]), 5)
         with pytest.raises(EntryNotAllowed):
+            # 1.0 == 1, but no float is an entry
+            forward_step(DyckPath("UD"), validate_ascent_sequence([0]), 1.0)
+        with pytest.raises(EntryNotAllowed):
             # 1 is below the menu of this prefix: nonzeros must not drop
             forward_step(
                 DyckPath("UDUUDUDUDD"), validate_ascent_sequence([0, 1, 0, 1, 2]), 1
@@ -312,15 +315,29 @@ class TestStructuralInvariants:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_step_shapes(self, n):
         # only a zero entry leaves a long last ascent; the menu case also
-        # leaves the path non-elevated and not ending in a peak
+        # leaves the path non-elevated and not ending in a peak.  Every
+        # record is undone by inverse_step: same parent, case and entry,
+        # and for case 4 the chosen key downstep comes back as the mark,
+        # ranked from the right
         for seq in enumerate_021_avoiding(n):
             trace = forward_trace(seq)
+            parent = trace.initial
             for rec in trace.records:
                 long_last = last_ascent_length(rec.path_after) >= 2
                 assert long_last == (rec.case_id == 1), rec
+                back = inverse_step(rec.path_after)
+                assert (back.path_after, back.case_id) == (parent, rec.case_id), rec
+                if rec.case_id == 2:
+                    assert back.emitted is REPEAT_PREVIOUS, rec
+                else:
+                    assert back.emitted == rec.entry, rec
                 if rec.case_id == 4:
                     assert not is_elevated(rec.path_after), rec
                     assert not rec.path_after.steps.endswith("UD"), rec
+                    index = rec.allowable_index
+                    assert back.marked_step == rec.key_downsteps_before[index - 1], rec
+                    assert back.rank_right_to_left == len(rec.allowable) - index + 1, rec
+                parent = rec.path_after
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_menu_matches_key_downsteps(self, n):

@@ -233,6 +233,10 @@ class TestVerify:
     def test_unknown_check(self, capsys):
         code, _, err = run_cli(capsys, "verify", "3", "--checks", "nonsense")
         assert code == 1
+        # a later unknown name is rejected before the first check runs
+        code, out, err = run_cli(capsys, "verify", "9", "--checks", "roundtrip,bogus")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unknown check 'bogus'")
 
 
 class TestByteIdentity:
@@ -249,7 +253,12 @@ class TestByteIdentity:
          "3e5e2725069d2bbcefd73d17f3b73f88baf2fe64d56c6e4975917cd341200404"),
         (["map", "0,1,0,1,2,2,0,3", "--trace", "--format", "json"],
          "64402423b0c12d4d727bedc680f273b56a5ddda29d81fbfd01271ff1f4901ff2"),
-    ], ids=["verify", "enumerate-seq", "enumerate-path", "enumerate-pairs", "map-trace"])
+        (["map", "0,1,0,1,2,2,0,3", "--trace", "--format", "paren"],
+         "f6065f95e49a1e55aed56b67d06a3490af73b38be3fea48c304e07067e4f78a9"),
+        (["unmap", "UDUUUDUDUUDDUDDD", "--trace"],
+         "663cbdf67c463e2f30a2a79c422ea46d0fc775d59d8ecadbfc0be4da1eccaed4"),
+    ], ids=["verify", "enumerate-seq", "enumerate-path", "enumerate-pairs", "map-trace",
+            "map-trace-paren", "unmap-trace"])
     def test_output_digest(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -279,10 +288,14 @@ class TestRender:
 
 class TestHarness:
     def test_no_command(self, capsys):
-        assert run_cli(capsys)[0] == 1
+        code, out, err = run_cli(capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
 
     def test_unknown_command(self, capsys):
-        assert run_cli(capsys, "frobnicate")[0] == 1
+        code, out, err = run_cli(capsys, "frobnicate")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

@@ -6,6 +6,7 @@ from ascentdyck import (
     DyckPath,
     EmptyInput,
     IndexOutOfRange,
+    InputError,
     NotElevated,
     NotEnoughUpsteps,
     ResultInvalid,
@@ -67,6 +68,14 @@ class TestParse:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             parse_path("")
+
+    @pytest.mark.parametrize("steps", [["U", "D"], None], ids=["list", "none"])
+    def test_steps_must_be_a_string(self, steps):
+        # a word that is not a str could be neither printed nor hashed,
+        # and None is not the empty word
+        with pytest.raises(InputError, match="step word") as info:
+            DyckPath(steps)
+        assert not isinstance(info.value, EmptyInput)
 
     @pytest.mark.parametrize(
         "steps, valid",

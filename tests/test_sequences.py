@@ -7,6 +7,7 @@ from ascentdyck import (
     FirstEntryNonzero,
     InputError,
     NegativeEntry,
+    NonIntegerEntry,
     Not021Avoiding,
     SizeZero,
     allowable_next_values,
@@ -54,6 +55,19 @@ class TestValidation:
         with pytest.raises(NegativeEntry) as info:
             validate_ascent_sequence([0, -1])
         assert info.value.position == 2
+
+    @pytest.mark.parametrize("raw, position", [
+        ([0, 0.5], 2),
+        ([0, "1"], 2),
+        (["0"], 1),
+        ([0, True], 2),
+    ], ids=["float", "digit-string", "first-entry-string", "bool"])
+    def test_non_integer_entry(self, raw, position):
+        # only exact ints are entries, even where a float or a bool
+        # compares equal to one; the error names the first offender
+        with pytest.raises(NonIntegerEntry) as info:
+            validate_ascent_sequence(raw)
+        assert info.value.position == position
 
     def test_oracle_agreement(self):
         # everything the definitional generator produces must validate,

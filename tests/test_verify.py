@@ -69,6 +69,33 @@ class TestChecks:
     def test_invariants(self):
         assert check_invariants(7).passed
 
+    @pytest.mark.parametrize("idx, total, witness, detail", [
+        (0, 5, "0,0,0", "initial_zeros/first_descent_length: 3 != 4 on UUUDDD"),
+        (1, 5, "0,0,0", "terminal_zeros/last_ascent_length-1: 2 != 3 on UUUDDD"),
+        (2, 5, "0,0,0", "ascents/valleys: 0 != 1 on UUUDDD"),
+        (3, 5, "0,0,0", "descents/duu_count: 0 != 1 on UUUDDD"),
+        (4, 4, "0,0,1", "eq_run/degree_of_elevation: 0 != 1 on UUDDUD"),
+    ])
+    def test_statistics_witness_the_mismatched_pair(self, monkeypatch, idx, total,
+                                                    witness, detail):
+        # one path statistic read one too high: every sequence where it is
+        # defined witnesses that pair alone, and only its flag drops
+        from ascentdyck import verify
+
+        raw = verify._path_stats_raw
+
+        def off_by_one(steps):
+            stats = list(raw(steps))
+            if stats[idx] is not None:
+                stats[idx] += 1
+            return tuple(stats)
+
+        monkeypatch.setattr(verify, "_path_stats_raw", off_by_one)
+        report = check_statistics(3)
+        assert report.failures_total == total
+        assert report.failures[0] == Failure("statistic", witness, detail)
+        assert list(report.equidistribution.values()) == [k != idx for k in range(5)]
+
     def test_invariants_witness_the_failing_prefix(self, monkeypatch):
         # a core that breaks every case-3 edge: each failure names the
         # prefix ending in the offending entry and prunes its subtree
@@ -237,6 +264,8 @@ class TestChecks:
 
     def test_characterization_tiny(self):
         assert check_characterization(3, 2).passed
+        # a value bound of 0 admits only the all-zero prefixes
+        assert check_characterization(5, 0).sequences_checked == 5
 
     def test_characterization_default_bounds(self):
         report = check_characterization(6, 5)
@@ -253,6 +282,8 @@ class TestChecks:
             check_counts(0)
         with pytest.raises(CapExceeded):
             check_characterization(13)
+        with pytest.raises(CapExceeded):
+            check_characterization(5, -1)
 
     def test_cap_can_be_raised(self):
         assert check_counts(13, cap=14).passed
