@@ -58,6 +58,13 @@ def _validate_steps(steps: str) -> None:
         raise Unbalanced(f"{bal} unmatched upstep(s)")
 
 
+def _require_int(value, what: str) -> None:
+    # exactly int, as for sequence entries: a bool, float or digit string
+    # is no index, vertex or count
+    if type(value) is not int:
+        raise InputError(f"{what} must be an int, got {value!r}")
+
+
 def _is_valid_steps(steps: str) -> bool:
     # C-level validity test for hot sweeps: half the steps are U and half
     # are D, so there is no other character, and no prefix dips below 0
@@ -100,6 +107,7 @@ class StepRef:
     def __post_init__(self):
         if self.kind not in (UP, DOWN):
             raise WrongKind(f"step kind must be {UP!r} or {DOWN!r}")
+        _require_int(self.index, "step index")
         if self.index < 1:
             raise IndexOutOfRange(f"step index {self.index} < 1")
 
@@ -142,6 +150,7 @@ def _check_ref(steps: str, ref: StepRef, want: str) -> int:
 
 def vertex_height(p: DyckPath, v: int) -> int:
     """Height above ground of vertex v, 0 <= v <= 2n."""
+    _require_int(v, "vertex")
     if not 0 <= v <= len(p.steps):
         raise IndexOutOfRange(f"vertex {v} out of range 0..{len(p.steps)}")
     return 2 * p.steps.count(UP, 0, v) - v
@@ -295,6 +304,7 @@ def key_downsteps(p: DyckPath) -> list[StepRef]:
 def insert_ud_at_vertex(p: DyckPath, v: int) -> DyckPath:
     """Splice a new peak into the path at vertex v."""
     s = p.steps
+    _require_int(v, "vertex")
     if not 0 <= v <= len(s):
         raise IndexOutOfRange(f"vertex {v} out of range 0..{len(s)}")
     return DyckPath(s[:v] + "UD" + s[v:])
@@ -334,6 +344,7 @@ def transfer_upsteps_from_front(p: DyckPath, count: int, to_ascent_of: StepRef) 
     """
     s = p.steps
     i0 = _check_ref(s, to_ascent_of, UP)
+    _require_int(count, "transfer count")
     if count < 0:
         raise InputError("transfer count must be nonnegative")
     if count == 0:
@@ -359,6 +370,7 @@ def transfer_upsteps_to_front(p: DyckPath, count: int, before_up: StepRef) -> Dy
     its ascent) to the front of the path."""
     s = p.steps
     i0 = _check_ref(s, before_up, UP)
+    _require_int(count, "transfer count")
     if count < 0:
         raise InputError("transfer count must be nonnegative")
     if count == 0:

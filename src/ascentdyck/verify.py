@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from . import bijection
 from .bijection import (
     _assert_carried_degree,
     _assert_classified_as,
@@ -199,24 +200,54 @@ def check_roundtrip(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     """inverse(forward(s)) = s over all sequences and
     forward(inverse(p)) = p over all paths.
 
-    The fold checks the sequence side at every leaf and files each image
-    in the coverage bitmap.  If the images are valid, distinct and
-    Catalan(n) in number, every path p is forward(s) for some s, so
-    forward(inverse(p)) = forward(s) = p by the sequence side.  Hence
-    ``paths_checked`` counts the distinct valid images.
+    The sequence side is checked once per forward edge of the walk.  An
+    edge maps the parent word P by the entry v to the child word C, and
+    one inverse step on C must return P and emit v, a repeat marker
+    standing for the left neighbour of v as in ``_inverse_entries``.  By
+    induction on the length, if every edge on the way to s passes, then
+    unwinding forward(s) in full gives s back: the first inverse step
+    from forward(s) lands on the parent word with the last entry emitted,
+    and the rest of the unwinding is that of the parent's prefix, which
+    gives the parent's entries and so resolves a repeat marker to the
+    left neighbour.  So a leaf that the full unwinding fails has a
+    failing edge on its way, and a clean report proves what unwinding
+    every leaf proved, over the same objects, with one inverse step per
+    edge instead of n - 1 per leaf.  A failing edge names the prefix
+    that ends in it, and ``failures_total`` counts failing edges; the
+    subtree is still walked, so coverage does not change.
+
+    The walk files each image in the coverage bitmap.  If the images are
+    valid, distinct and Catalan(n) in number, every path p is forward(s)
+    for some s, so forward(inverse(p)) = forward(s) = p by the sequence
+    side.  Hence ``paths_checked`` counts the distinct valid images.
     """
     _require_size(n, cap)
     bad = _Witnesses()
     file, close = _coverage(n, bad)
+    # read through the module as the check starts, as _inverse_entries
+    # reads it, so that the step checked and the detail text share a core
+    inverse_core = bijection._inverse_step_core
+    buf = [0] * n
 
-    def visit(buf, path):
-        back = _inverse_entries(path)
-        if back != buf:
-            bad.add("sequence-roundtrip", ",".join(map(str, buf)),
-                    f"via {path} came back as {','.join(map(str, back))}")
-        file(buf, path)
+    def checked_step(path, v, state):
+        # edges arrive in walk order, so buf[:i] still holds the parent
+        # prefix, and state[2] its last entry, when the edge from size i
+        # is checked
+        i = len(path) // 2
+        buf[i] = v
+        stepped = _forward_step_core(path, v, state)
+        child = stepped[0]
+        back, _, emitted, _, _ = inverse_core(child)
+        if back != path or (state[2] if emitted is None else emitted) != v:
+            came_back = ",".join(map(str, _inverse_entries(child)))
+            bad.add("sequence-roundtrip", ",".join(map(str, buf[: i + 1])),
+                    f"via {child} came back as {came_back}")
+        return stepped
 
-    nseq = _fold_family(n, visit)
+    nseq = 0
+    for leaf, path in _walk_021(n, checked_step):
+        nseq += 1
+        file(leaf, path)
     return bad.report("roundtrip", n, nseq, close())
 
 

@@ -2,7 +2,7 @@
 pass/fail line.  Run with ``pytest tests/test_acceptance.py -v -s``.
 
 The extended sweep (criterion 4b) folds all 2,674,440 sequences twice,
-once for the roundtrip and once for bijectivity, and took 139-160 s on a
+once for the roundtrip and once for bijectivity, and took 43-47 s on a
 2-vCPU machine under Python 3.11; everything else finishes in seconds.
 """
 

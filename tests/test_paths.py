@@ -108,6 +108,11 @@ class TestHeights:
             with pytest.raises(IndexOutOfRange):
                 vertex_height(p, v)
 
+    @pytest.mark.parametrize("v", [1.0, 1.5, True, "1"])
+    def test_vertex_must_be_an_int(self, v):
+        with pytest.raises(InputError, match="vertex must be an int"):
+            vertex_height(DyckPath("UD"), v)
+
 
 class TestFactorCounts:
     def test_anatomy_of_final_example_path(self):
@@ -214,6 +219,15 @@ class TestMatching:
                     assert a2 > b1 or b2 < b1, (p.steps, (a1, b1), (a2, b2))
 
 
+class TestStepRef:
+    @pytest.mark.parametrize("index", ["1", True, 1.0])
+    def test_index_must_be_an_int(self, index):
+        # a digit string used to fail on its comparison with 1, and a bool
+        # or a whole float used to construct
+        with pytest.raises(InputError, match="step index must be an int"):
+            StepRef(index, UP)
+
+
 class TestTerminalDescentAndKeys:
     @pytest.mark.parametrize(
         "steps,first,last",
@@ -272,6 +286,11 @@ class TestEdits:
     def test_insert_bad_vertex(self):
         with pytest.raises(IndexOutOfRange):
             insert_ud_at_vertex(DyckPath("UD"), 5)
+
+    @pytest.mark.parametrize("v", [1.0, True])
+    def test_insert_vertex_must_be_an_int(self, v):
+        with pytest.raises(InputError, match="vertex must be an int"):
+            insert_ud_at_vertex(DyckPath("UD"), v)
 
     def test_elevate_examples(self):
         assert elevate(DyckPath("UDUUDUDUDD")) == DyckPath("UUDUUDUDUDDD")
@@ -343,6 +362,17 @@ class TestTransfers:
     def test_wrong_kind(self):
         with pytest.raises(WrongKind):
             transfer_upsteps_from_front(DyckPath("UUDD"), 1, StepRef(3, DOWN))
+
+    @pytest.mark.parametrize("count", [1.0, 0.0, True])
+    def test_from_front_count_must_be_an_int(self, count):
+        # a zero float used to return the path unchanged
+        with pytest.raises(InputError, match="transfer count must be an int"):
+            transfer_upsteps_from_front(DyckPath("UUDD"), count, StepRef(2, UP))
+
+    @pytest.mark.parametrize("count", [1.0, 0.0, True])
+    def test_to_front_count_must_be_an_int(self, count):
+        with pytest.raises(InputError, match="transfer count must be an int"):
+            transfer_upsteps_to_front(DyckPath("UUDD"), count, StepRef(2, UP))
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_transfer_pair_is_inverse(self, n):

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from ascentdyck import (
+    REPEAT_PREVIOUS,
     CapExceeded,
     DyckPath,
     catalan,
@@ -13,7 +15,9 @@ from ascentdyck import (
     check_roundtrip,
     check_statistics,
     enumerate_021_avoiding,
+    forward,
     forward_step,
+    inverse_step,
     validate_ascent_sequence,
 )
 from ascentdyck.cli import main
@@ -23,6 +27,61 @@ from ascentdyck.verify import Failure
 from conftest import catalan_binomial
 
 KNOWN_CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
+
+
+def leaf_by_leaf_roundtrip(n):
+    """Oracle for ``check_roundtrip``: the same report, proved by
+    unwinding every leaf's image in full instead of one inverse step per
+    forward edge."""
+    from ascentdyck import bijection, verify
+
+    verify._require_size(n, verify.DEFAULT_CAP)
+    bad = verify._Witnesses()
+    file, close = verify._coverage(n, bad)
+
+    def visit(buf, path):
+        back = bijection._inverse_entries(path)
+        if back != buf:
+            bad.add("sequence-roundtrip", ",".join(map(str, buf)),
+                    f"via {path} came back as {','.join(map(str, back))}")
+        file(buf, path)
+
+    nseq = verify._fold_family(n, visit)
+    return bad.report("roundtrip", n, nseq, close())
+
+
+def failing_edges(n):
+    # every prefix of length 2..n, in walk order, whose last forward edge
+    # one public inverse step does not undo
+    out = []
+    for s in sorted(seq.entries for k in range(2, n + 1)
+                    for seq in enumerate_021_avoiding(k)):
+        rec = inverse_step(forward(validate_ascent_sequence(s)))
+        emitted = s[-2] if rec.emitted is REPEAT_PREVIOUS else rec.emitted
+        if rec.path_after != forward(validate_ascent_sequence(s[:-1])) or emitted != s[-1]:
+            out.append(",".join(map(str, s)))
+    return out
+
+
+def case3_emits_one_more(core):
+    def broken(steps):
+        stepped = core(steps)
+        if stepped[1] == 3:
+            return (stepped[0], 3, stepped[2] + 1, None, None)
+        return stepped
+
+    return broken
+
+
+def case1_drops_the_first_peak(core):
+    def broken(steps):
+        stepped = core(steps)
+        if stepped[1] == 1:
+            i = steps.find("UD")
+            return (steps[:i] + steps[i + 2 :], *stepped[1:])
+        return stepped
+
+    return broken
 
 
 class TestCatalan:
@@ -225,20 +284,59 @@ class TestChecks:
         # inverse case 3 emits one too many: only the sequence side sees it
         from ascentdyck import bijection
 
-        core = bijection._inverse_step_core
-
-        def broken(steps):
-            stepped = core(steps)
-            if stepped[1] == 3:
-                return (stepped[0], 3, stepped[2] + 1, None, None)
-            return stepped
-
-        monkeypatch.setattr(bijection, "_inverse_step_core", broken)
+        monkeypatch.setattr(bijection, "_inverse_step_core",
+                            case3_emits_one_more(bijection._inverse_step_core))
         report = check_roundtrip(5)
         assert not report.passed
         assert {f.kind for f in report.failures} == {"sequence-roundtrip"}
         assert report.failures[0].witness == "0,0,0,0,1"
         assert report.failures[0].detail == "via UUUUDDDDUD came back as 0,0,0,0,2"
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_roundtrip_agrees_with_the_leaf_by_leaf_oracle(self, n):
+        edge_local, oracle = check_roundtrip(n), leaf_by_leaf_roundtrip(n)
+        assert edge_local.passed
+        assert replace(edge_local, elapsed=0) == replace(oracle, elapsed=0)
+
+    @pytest.mark.parametrize("mutant, first, detail", [
+        (case3_emits_one_more, "0,0,0,0,1", "via UUUUDDDDUD came back as 0,0,0,0,2"),
+        (case1_drops_the_first_peak, "0,0,0,1,0",
+         "via UUUDDDUUDD came back as 0,0,0,0,0"),
+    ])
+    def test_roundtrip_and_oracle_catch_a_broken_inverse(self, monkeypatch, mutant,
+                                                         first, detail):
+        # both proofs fail, and the edge-local one witnesses exactly the
+        # edges that one inverse step does not undo, each by its prefix
+        from ascentdyck import bijection
+
+        monkeypatch.setattr(bijection, "_inverse_step_core",
+                            mutant(bijection._inverse_step_core))
+        n = 5
+        report, oracle = check_roundtrip(n), leaf_by_leaf_roundtrip(n)
+        assert not report.passed and not oracle.passed
+        assert report.failures[0] == Failure("sequence-roundtrip", first, detail)
+        failing = failing_edges(n)
+        assert [f.witness for f in report.failures] == failing[:100]
+        assert report.failures_total == len(failing)
+        # a prefix shorter than n is named by its edge, not by a leaf
+        assert any(len(f.witness.split(",")) < n for f in report.failures)
+        assert report.paths_checked == oracle.paths_checked == catalan(n)
+
+    def test_roundtrip_takes_one_inverse_step_per_edge(self, monkeypatch):
+        # one step per node of size 2..n, not n - 1 per leaf
+        from ascentdyck import bijection
+
+        core = bijection._inverse_step_core
+        calls = 0
+
+        def counted(steps):
+            nonlocal calls
+            calls += 1
+            return core(steps)
+
+        monkeypatch.setattr(bijection, "_inverse_step_core", counted)
+        assert check_roundtrip(9).passed
+        assert calls == sum(catalan(k) for k in range(2, 10)) == 6916
 
     def test_roundtrip_and_bijectivity_catch_a_non_injective_forward(self, monkeypatch):
         # case 3 grows the case-1 word, so 0,0 and 0,1 share an image and
