@@ -51,6 +51,7 @@ from .errors import (
     InternalInvariant,
     SizeZero,
     TooSmall,
+    _require_int,
 )
 from .paths import (
     DOWN,
@@ -429,6 +430,7 @@ def inverse_trace(P: DyckPath) -> InverseTrace:
 def iter_pairs(n: int) -> Iterator[tuple[AscentSequence, DyckPath]]:
     """Stream (sequence, image path) pairs over the whole size-n family in
     lexicographic sequence order, sharing work across common prefixes."""
+    _require_int(n, "size")
     if n < 1:
         raise SizeZero("size must be at least 1")
     return (

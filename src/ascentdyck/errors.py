@@ -3,7 +3,8 @@
 Input problems subclass :class:`InputError` (a ``ValueError``); conditions
 that can only arise from a bug in the library itself subclass
 :class:`InternalInvariant` (a ``RuntimeError``).  Errors that point at a
-single offending element carry its 1-based position.
+single offending element carry its 1-based position.  ``_require_int``
+is the one type check that sizes, indices, vertices and counts share.
 """
 
 
@@ -117,3 +118,10 @@ class SizeZero(InputError):
 
 class CapExceeded(InputError):
     pass
+
+
+def _require_int(value, what: str) -> None:
+    # exactly int, as for sequence entries: a bool, float or digit string
+    # is no size, index, vertex or count
+    if type(value) is not int:
+        raise InputError(f"{what} must be an int, got {value!r}")

@@ -28,6 +28,7 @@ from .errors import (
     TooSmall,
     Unbalanced,
     WrongKind,
+    _require_int,
 )
 
 UP = "U"
@@ -56,13 +57,6 @@ def _validate_steps(steps: str) -> None:
             raise BadCharacter(position=i + 1, char=c)
     if bal != 0:
         raise Unbalanced(f"{bal} unmatched upstep(s)")
-
-
-def _require_int(value, what: str) -> None:
-    # exactly int, as for sequence entries: a bool, float or digit string
-    # is no index, vertex or count
-    if type(value) is not int:
-        raise InputError(f"{what} must be an int, got {value!r}")
 
 
 def _is_valid_steps(steps: str) -> bool:
@@ -129,6 +123,8 @@ class PathStats:
 
 def parse_path(text: str) -> DyckPath:
     """Read a step word over U/D; parentheses are accepted as aliases."""
+    if not isinstance(text, str):
+        raise InputError(f"path text must be a str, got {type(text).__name__}")
     return DyckPath(text.translate(_PAREN_TO_STEP))
 
 
@@ -407,11 +403,12 @@ def _iter_dyck_steps(n: int) -> Iterator[str]:
 
 
 def enumerate_dyck_paths(n: int) -> Iterator[DyckPath]:
-    """Yield all Catalan(n) Dyck paths of size n, lexicographic with U < D."""
+    """Stream all Catalan(n) Dyck paths of size n, lexicographic with U < D.
+    A bad size raises at the call, before the first path."""
+    _require_int(n, "path size")
     if n < 1:
         raise SizeZero("path size must be at least 1")
-    for steps in _iter_dyck_steps(n):
-        yield DyckPath(steps)
+    return (DyckPath(steps) for steps in _iter_dyck_steps(n))
 
 
 def _path_stats_raw(steps: str) -> tuple[int, int, int, int, int | None]:

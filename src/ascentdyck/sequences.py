@@ -25,6 +25,7 @@ from .errors import (
     NonIntegerEntry,
     Not021Avoiding,
     SizeZero,
+    _require_int,
 )
 
 
@@ -35,7 +36,13 @@ class AscentSequence:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(self.entries)
+        try:
+            entries = tuple(self.entries)
+        except TypeError:
+            raise InputError(
+                f"ascent sequence entries must be iterable, got "
+                f"{type(self.entries).__name__}"
+            ) from None
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise EmptyInput("an ascent sequence has at least one entry")
@@ -66,12 +73,14 @@ class AscentSequence:
 
 def validate_ascent_sequence(raw: Iterable[int]) -> AscentSequence:
     """Check the two defining conditions and wrap the entries."""
-    return AscentSequence(tuple(raw))
+    return AscentSequence(raw)
 
 
 def parse_sequence(text: str) -> AscentSequence:
     """Parse ``0,1,0,2`` style text; a bare digit string like ``0102`` is
     also accepted (single-digit entries only)."""
+    if not isinstance(text, str):
+        raise InputError(f"sequence text must be a str, got {type(text).__name__}")
     t = text.strip()
     if not t:
         raise EmptyInput("empty sequence text")
@@ -124,9 +133,9 @@ def _require_021(entries: Sequence[int]) -> None:
 def contains_pattern_021_bruteforce(entries: Sequence[int]) -> bool:
     """Exhaustive search for positions i<j<k with entries[i] < entries[k] < entries[j].
 
-    Deliberately the naive cubic scan: this is the oracle the streamlined
-    membership test is cross-checked against, so it must stay independent
-    of it.  Accepts any integer sequence.
+    Deliberately the naive cubic scan, written straight from the pattern
+    definition and sharing nothing with the streamlined membership test.
+    Accepts any integer sequence.
     """
     xs = list(entries)
     n = len(xs)
@@ -136,6 +145,23 @@ def contains_pattern_021_bruteforce(entries: Sequence[int]) -> bool:
                 continue
             for k in range(j + 1, n):
                 if xs[i] < xs[k] < xs[j]:
+                    return True
+    return False
+
+
+def _closes_021_bruteforce(entries: Sequence[int]) -> bool:
+    # whether the last entry v ends a 0,2,1: a naive search for positions
+    # i < j before it with entries[i] < v < entries[j].  A sequence
+    # contains the pattern iff its prefix without v does or this holds.
+    # Like the cubic scan, it shares nothing with the membership test.
+    k = len(entries) - 1
+    if k < 2:
+        return False
+    v = entries[k]
+    for i in range(k - 1):
+        if entries[i] < v:
+            for j in range(i + 1, k):
+                if v < entries[j]:
                     return True
     return False
 
@@ -284,12 +310,13 @@ def _iter_021_entries(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_021_avoiding(n: int) -> Iterator[AscentSequence]:
-    """Yield every 021-avoiding ascent sequence of length n exactly once,
-    in lexicographic order.  There are Catalan(n) of them."""
+    """Stream every 021-avoiding ascent sequence of length n exactly once,
+    in lexicographic order.  There are Catalan(n) of them.  A bad length
+    raises at the call, before the first sequence."""
+    _require_int(n, "sequence length")
     if n < 1:
         raise SizeZero("sequence length must be at least 1")
-    for entries in _iter_021_entries(n):
-        yield AscentSequence(entries)
+    return (AscentSequence(entries) for entries in _iter_021_entries(n))
 
 
 @dataclass(frozen=True)

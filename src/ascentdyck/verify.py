@@ -20,7 +20,7 @@ from .bijection import (
     _forward_step_core,
     _inverse_entries,
 )
-from .errors import CapExceeded, InputError, InternalInvariant
+from .errors import CapExceeded, InputError, InternalInvariant, _require_int
 from .paths import (
     UP,
     _STEP_TO_BIT,
@@ -31,10 +31,10 @@ from .paths import (
     enumerate_dyck_paths,
 )
 from .sequences import (
+    _closes_021_bruteforce,
     _first_021_violation,
     _sequence_stats_raw,
     _walk_021,
-    contains_pattern_021_bruteforce,
     enumerate_021_avoiding,
 )
 
@@ -46,6 +46,7 @@ _MAX_WITNESSES = 100
 
 def catalan(n: int) -> int:
     """Exact Catalan number, by the convolution recurrence."""
+    _require_int(n, "n")
     if n < 0:
         raise InputError("catalan is defined for n >= 0")
     c = [1]
@@ -112,6 +113,11 @@ class VerifyReport:
 
 
 def _require_size(n: int, cap: int) -> None:
+    # every check's entry gate: nothing is swept or allocated before it
+    _require_int(n, "size")
+    _require_int(cap, "cap")
+    if not 1 <= cap <= EXTENDED_CAP:
+        raise CapExceeded(f"cap {cap} outside 1..{EXTENDED_CAP}")
     if not 1 <= n <= cap:
         raise CapExceeded(f"size {n} outside 1..{cap}")
 
@@ -343,8 +349,23 @@ def check_statistics(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
 
 def check_characterization(max_len: int = 10, max_val: int | None = 6) -> VerifyReport:
     """Over every valid ascent sequence within the bounds, the streamlined
-    membership test must agree with the negated brute-force triple scan.
-    ``max_val`` of None bounds entries by the ascent condition alone."""
+    membership test must agree with the negated brute-force pattern find.
+    ``max_val`` of None bounds entries by the ascent condition alone.
+
+    The sweep walks the prefix tree, whose nodes are exactly these
+    sequences, and probes each node once.  The brute-force verdict is
+    derived from the parent's: a node contains 0,2,1 if its parent does,
+    and otherwise only if a naive pair scan finds positions i < j before
+    the new last entry v with entries[i] < v < entries[j], since every
+    other triple already lies in the parent.  So the verdict of every node
+    equals that of the cubic triple scan over its whole prefix, and the
+    pair scan is skipped under a parent known to contain the pattern.  The
+    membership test still runs on every node, so a clean report proves
+    what the cubic scan at every node proved, over the same objects.
+    """
+    _require_int(max_len, "length bound")
+    if max_val is not None:
+        _require_int(max_val, "value bound")
     if not 1 <= max_len <= 12:
         raise CapExceeded(f"length bound {max_len} outside 1..12")
     if max_val is not None and max_val < 0:
@@ -353,27 +374,25 @@ def check_characterization(max_len: int = 10, max_val: int | None = 6) -> Verify
     buf = [0] * max_len
     checked = 0
 
-    def probe(i: int) -> None:
+    def probe(i: int, a: int, brute: bool) -> None:
+        # the node buf[:i], with a ascents; brute is the parent's verdict
         nonlocal checked
         checked += 1
         entries = buf[:i]
+        brute = brute or _closes_021_bruteforce(entries)
         fast = _first_021_violation(entries) is None
-        brute = contains_pattern_021_bruteforce(entries)
         if fast != (not brute):
             bad.add("characterization", ",".join(map(str, entries)),
                     f"membership test {fast}, brute-force pattern find {brute}")
-
-    def rec(i: int, a: int) -> None:
-        probe(i)
         if i == max_len:
             return
         top = a + 1 if max_val is None else min(a + 1, max_val)
         for v in range(top + 1):
             buf[i] = v
-            rec(i + 1, a + (buf[i - 1] < v))
+            probe(i + 1, a + (buf[i - 1] < v), brute)
 
     # every prefix of the search tree is itself a valid sequence, so each
     # node is probed exactly once
     buf[0] = 0
-    rec(1, 0)
+    probe(1, 0, False)
     return bad.report("characterization", max_len, checked, 0)

@@ -279,6 +279,12 @@ class TestRoundTrip:
         head = list(islice(stream(2000), 3))
         assert len(head) == len(set(head)) == 3
 
+    @pytest.mark.parametrize("n", [3.0, True, "3"], ids=["float", "bool", "str"])
+    def test_iter_pairs_size_must_be_an_int(self, n):
+        # raised at the call, before a stream exists
+        with pytest.raises(InputError, match="size must be an int"):
+            iter_pairs(n)
+
     @pytest.mark.parametrize("n", range(1, 10))
     def test_iter_pairs_consistent(self, n):
         listed = list(iter_pairs(n))

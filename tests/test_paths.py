@@ -69,6 +69,11 @@ class TestParse:
         with pytest.raises(EmptyInput):
             parse_path("")
 
+    @pytest.mark.parametrize("text", [123, b"UD", None], ids=["int", "bytes", "none"])
+    def test_text_must_be_a_string(self, text):
+        with pytest.raises(InputError, match="path text must be a str"):
+            parse_path(text)
+
     @pytest.mark.parametrize("steps", [["U", "D"], None], ids=["list", "none"])
     def test_steps_must_be_a_string(self, steps):
         # a word that is not a str could be neither printed nor hashed,
@@ -405,6 +410,12 @@ class TestEnumeration:
     def test_zero_rejected(self):
         with pytest.raises(SizeZero):
             list(enumerate_dyck_paths(0))
+
+    @pytest.mark.parametrize("n", [3.0, True, "3"], ids=["float", "bool", "str"])
+    def test_size_must_be_an_int(self, n):
+        # raised at the call, before a stream exists
+        with pytest.raises(InputError, match="path size must be an int"):
+            enumerate_dyck_paths(n)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_counts(self, n):

@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 
 from ascentdyck import (
@@ -20,6 +22,8 @@ from ascentdyck import (
     sequence_statistics,
     validate_ascent_sequence,
 )
+
+from ascentdyck.sequences import _closes_021_bruteforce
 
 from conftest import all_ascent_sequences, catalan_binomial, nonzero_weakly_increasing
 
@@ -69,11 +73,17 @@ class TestValidation:
             validate_ascent_sequence(raw)
         assert info.value.position == position
 
+    @pytest.mark.parametrize("raw", [5, None], ids=["int", "none"])
+    def test_entries_must_be_iterable(self, raw):
+        with pytest.raises(InputError, match="must be iterable"):
+            validate_ascent_sequence(raw)
+        with pytest.raises(InputError, match="must be iterable"):
+            AscentSequence(raw)
+
     def test_oracle_agreement(self):
         # everything the definitional generator produces must validate,
         # and nothing else of length <= 5 may
         valid = set(all_ascent_sequences(5, max_val=5))
-        from itertools import product
 
         for xs in product(range(6), repeat=5):
             ok = True
@@ -106,6 +116,11 @@ class TestParsing:
         with pytest.raises(InputError):
             parse_sequence(text)
 
+    @pytest.mark.parametrize("text", [123, b"0,1", None], ids=["int", "bytes", "none"])
+    def test_text_must_be_a_string(self, text):
+        with pytest.raises(InputError, match="sequence text must be a str"):
+            parse_sequence(text)
+
 
 class TestAvoidance:
     def test_worked_example_avoids(self):
@@ -130,6 +145,27 @@ class TestAvoidance:
     def test_bruteforce_accepts_arbitrary_integers(self):
         assert contains_pattern_021_bruteforce([-5, 7, 1])
         assert not contains_pattern_021_bruteforce([5, 4, 3, 2])
+
+    def test_pair_scan_closes_exactly_the_patterns_ending_last(self):
+        # every integer sequence of length <= 6 over -1..2: the pair scan
+        # finds a 0,2,1 ending at the last entry exactly when one of the
+        # triples ending there is one, and with the parent's verdict it
+        # gives the cubic scan's verdict
+        for length in range(7):
+            for xs in product(range(-1, 3), repeat=length):
+                ending_last = any(
+                    contains_pattern_021_bruteforce((x, y, xs[-1]))
+                    for x, y in combinations(xs[:-1], 2)
+                )
+                assert _closes_021_bruteforce(xs) == ending_last, xs
+                assert contains_pattern_021_bruteforce(xs) == (
+                    contains_pattern_021_bruteforce(xs[:-1]) or _closes_021_bruteforce(xs)
+                ), xs
+
+    def test_pair_scan_on_lists(self):
+        assert _closes_021_bruteforce([-5, 7, 1])
+        assert not _closes_021_bruteforce([0, 2, 1, 3])
+        assert not _closes_021_bruteforce([])
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_characterization_exhaustive(self, n):
@@ -224,6 +260,12 @@ class TestEnumeration:
     def test_zero_rejected(self):
         with pytest.raises(SizeZero):
             list(enumerate_021_avoiding(0))
+
+    @pytest.mark.parametrize("n", [3.0, True, "3"], ids=["float", "bool", "str"])
+    def test_length_must_be_an_int(self, n):
+        # raised at the call, before a stream exists
+        with pytest.raises(InputError, match="sequence length must be an int"):
+            enumerate_021_avoiding(n)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_counts(self, n):

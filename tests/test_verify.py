@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from itertools import pairwise
 
 import pytest
 
@@ -14,6 +15,7 @@ from ascentdyck import (
     check_invariants,
     check_roundtrip,
     check_statistics,
+    contains_pattern_021_bruteforce,
     enumerate_021_avoiding,
     forward,
     forward_step,
@@ -24,7 +26,7 @@ from ascentdyck.cli import main
 from ascentdyck.errors import InputError, InternalInvariant
 from ascentdyck.verify import Failure
 
-from conftest import catalan_binomial
+from conftest import all_ascent_sequences, catalan_binomial, nonzero_weakly_increasing
 
 KNOWN_CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
 
@@ -48,6 +50,69 @@ def leaf_by_leaf_roundtrip(n):
 
     nseq = verify._fold_family(n, visit)
     return bad.report("roundtrip", n, nseq, close())
+
+
+def leaf_by_leaf_characterization(max_len, max_val):
+    """Oracle for ``check_characterization``: the same report, with the
+    cubic triple scan rerun over the whole prefix at every node instead of
+    a verdict derived from the parent's.  The membership test is read
+    through ``verify``, so a patched one reaches both."""
+    from ascentdyck import verify
+
+    bad = verify._Witnesses()
+    buf = [0] * max_len
+    checked = 0
+
+    def probe(i):
+        nonlocal checked
+        checked += 1
+        entries = buf[:i]
+        fast = verify._first_021_violation(entries) is None
+        brute = contains_pattern_021_bruteforce(entries)
+        if fast != (not brute):
+            bad.add("characterization", ",".join(map(str, entries)),
+                    f"membership test {fast}, brute-force pattern find {brute}")
+
+    def rec(i, a):
+        probe(i)
+        if i == max_len:
+            return
+        top = a + 1 if max_val is None else min(a + 1, max_val)
+        for v in range(top + 1):
+            buf[i] = v
+            rec(i + 1, a + (buf[i - 1] < v))
+
+    rec(1, 0)
+    return bad.report("characterization", max_len, checked, 0)
+
+
+def ignores_the_last_entry(first_violation):
+    # misses every violation made by the newest entry
+    return lambda entries: first_violation(entries[:-1])
+
+
+def rejects_a_repeat(first_violation):
+    # reads a repeated nonzero entry as a violation
+    def broken(entries):
+        if any(a == b for a, b in pairwise(u for u in entries if u)):
+            return len(entries)
+        return first_violation(entries)
+
+    return broken
+
+
+@pytest.fixture
+def no_sweep(monkeypatch):
+    # every way a check walks a family or allocates its bitmap fails the
+    # test, so an error raised under this fixture came from the entry gate
+    from ascentdyck import verify
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a sweep started before the arguments were checked")
+
+    for name in ("_walk_021", "_coverage", "_iter_dyck_steps",
+                 "enumerate_021_avoiding", "enumerate_dyck_paths"):
+        monkeypatch.setattr(verify, name, refused)
 
 
 def failing_edges(n):
@@ -98,6 +163,11 @@ class TestCatalan:
     def test_negative(self):
         with pytest.raises(InputError):
             catalan(-1)
+
+    @pytest.mark.parametrize("n", [2.0, True, "2"])
+    def test_size_must_be_an_int(self, n):
+        with pytest.raises(InputError, match="must be an int"):
+            catalan(n)
 
 
 class TestChecks:
@@ -372,6 +442,89 @@ class TestChecks:
 
     def test_characterization_uncapped_values(self):
         assert check_characterization(7, None).passed
+
+    @pytest.mark.parametrize("bounds", [(10, 6), (8, None), (1, 0), (2, None)])
+    def test_characterization_agrees_with_the_leaf_by_leaf_oracle(self, bounds):
+        inductive, oracle = check_characterization(*bounds), leaf_by_leaf_characterization(*bounds)
+        assert inductive.passed
+        assert replace(inductive, elapsed=0) == replace(oracle, elapsed=0)
+
+    @pytest.mark.parametrize("mutant, fails, total", [
+        # every sequence that the newest entry takes out of the family
+        (ignores_the_last_entry,
+         lambda xs: not nonzero_weakly_increasing(xs) and nonzero_weakly_increasing(xs[:-1]),
+         924),
+        # every member with a repeated nonzero entry
+        (rejects_a_repeat,
+         lambda xs: nonzero_weakly_increasing(xs)
+         and any(a == b for a, b in pairwise([u for u in xs if u])),
+         1800),
+    ])
+    def test_characterization_and_oracle_catch_a_broken_membership_test(
+            self, monkeypatch, mutant, fails, total):
+        from ascentdyck import verify
+
+        monkeypatch.setattr(verify, "_first_021_violation",
+                            mutant(verify._first_021_violation))
+        report, oracle = check_characterization(8, None), leaf_by_leaf_characterization(8, None)
+        # the witnesses come in walk order, which is tuple order here
+        failing = sorted(xs for k in range(1, 9) for xs in all_ascent_sequences(k)
+                         if fails(xs))
+        assert report.failures_total == oracle.failures_total == len(failing) == total
+        assert report.failures == oracle.failures
+        assert [f.witness for f in report.failures] == [
+            ",".join(map(str, xs)) for xs in failing[:100]
+        ]
+
+    def test_characterization_scans_pairs_only_under_avoiding_parents(self, monkeypatch):
+        # one pair scan per node whose parent avoids 0,2,1 (the root has no
+        # parent), none under a parent that contains it
+        from ascentdyck import verify
+
+        scan = verify._closes_021_bruteforce
+        calls = 0
+
+        def counted(entries):
+            nonlocal calls
+            calls += 1
+            return scan(entries)
+
+        monkeypatch.setattr(verify, "_closes_021_bruteforce", counted)
+        assert check_characterization(10, 6).passed
+        expected = sum(
+            1 for k in range(1, 11) for xs in all_ascent_sequences(k, 6)
+            if not contains_pattern_021_bruteforce(xs[:-1])
+        )
+        assert calls == expected == 39350
+
+    @pytest.mark.parametrize("check", [check_counts, check_roundtrip, check_bijectivity,
+                                       check_invariants, check_statistics])
+    @pytest.mark.parametrize("size", [3.0, True, "3"], ids=["float", "bool", "str"])
+    def test_sizes_must_be_ints(self, no_sweep, check, size):
+        with pytest.raises(InputError, match="size must be an int"):
+            check(size)
+        with pytest.raises(InputError, match="cap must be an int"):
+            check(3, cap=size)
+
+    @pytest.mark.parametrize("bounds", [(10.0, 6), (True, 6), ("10", 6), (10, 6.0),
+                                        (10, False), (10, "6")])
+    def test_characterization_bounds_must_be_ints(self, monkeypatch, bounds):
+        from ascentdyck import verify
+
+        def refused(entries):
+            raise AssertionError("probed before the bounds were checked")
+
+        monkeypatch.setattr(verify, "_first_021_violation", refused)
+        with pytest.raises(InputError, match="bound must be an int"):
+            check_characterization(*bounds)
+
+    @pytest.mark.parametrize("check", [check_roundtrip, check_bijectivity])
+    @pytest.mark.parametrize("n, cap", [(20, 20), (15, 15), (1, 0), (3, -1)])
+    def test_cap_bounded_by_the_extended_cap(self, no_sweep, check, n, cap):
+        # a cap past 14 would size the coverage bitmap at 2^(2n-3) bytes;
+        # the gate refuses it before the bitmap exists
+        with pytest.raises(CapExceeded, match="cap"):
+            check(n, cap=cap)
 
     def test_cap_enforced(self):
         with pytest.raises(CapExceeded):
