@@ -38,6 +38,46 @@ every case-4 edge of its sweep.
 The inverse reads the same four shapes off the end of a path.  Its case 2
 only reveals that an entry repeats its left neighbour; those placeholders
 are resolved once the unwinding reaches UD.
+
+Only the test for elevation, which tells case 2 from case 4, needs more
+than the end of the word, so ``inverse`` carries the word's left spine
+instead of scanning the word at every step.  The spine is a stack of
+[end, low] pairs.  The top pair holds the end offset of the word's first
+ground component and the height of that component's lowest inner valley
+(None for a pyramid).  Each pair below holds the same for the word inside
+the component above it, lowered by that component's low, in that word's
+own offsets; a component is U^low W D^low with W not elevated, since no
+vertex inside it lies below its lowest valley.  The word is elevated
+exactly when the top end equals its length.  One left-to-right scan
+builds the spine, and each step keeps it exact in constant time:
+
+  case 1  deletes the peak at the top of the last ascent; that ascent and
+          the terminal descent both keep a step, so no valley appears or
+          goes.  The peak lies in the first component only when that is
+          the whole word (case 1 keeps the elevation), whose end then
+          falls by 2.  The words below lose the peak from their last
+          components, which are not their first, so every other pair
+          stays.
+  case 2  lowers the word, its only component: the end falls by 2 and the
+          low by 1, unless the low was 1, when the lowered word is the one
+          the pair below describes and the top pair is popped.
+  case 3  deletes a ground peak UD after the first component: no change.
+  case 4  returns the word P that forward case 4 grew, and the count
+          ``moved`` of upsteps it moves back to the front is P's degree of
+          elevation, since forward case 4 moved exactly e upsteps into an
+          ascent starting at u0 (checked over all 82,498 inverse steps of
+          the paths of size 2 to 11).  P lowered by e has a valley at
+          ground, so it has two or more ground components, and the key
+          downstep, its matching upstep u0 and the new peak all lie in its
+          last one.  For moved > 0 the old word is that lowered word with
+          these edits, so its stack stays below a pushed pair [len(P),
+          moved]; for moved = 0 P is the old word with these edits undone,
+          and nothing changes.
+
+``inverse`` checks once per unwinding that the spine reached UD as
+[[2, None]], as ``forward`` checks its carried e.  ``inverse_step``,
+``classify_inverse_case`` and the sweeps in ``verify`` scan for the
+elevation instead, so they stay independent of the carried state.
 """
 
 from __future__ import annotations
@@ -52,6 +92,7 @@ from .errors import (
     SizeZero,
     TooSmall,
     _require_int,
+    _require_type,
 )
 from .paths import (
     DOWN,
@@ -62,6 +103,7 @@ from .paths import (
     _is_elevated_steps,
     _key_downsteps,
     _match_down,
+    _steps_of,
     key_downsteps,
 )
 from .sequences import (
@@ -69,6 +111,7 @@ from .sequences import (
     AllowableList,
     AscentSequence,
     _allowable,
+    _entries_of,
     _grow,
     _menu_low,
     _next_values,
@@ -284,8 +327,9 @@ def forward_step(P: DyckPath, prefix: AscentSequence, u: int) -> tuple[DyckPath,
     :class:`InternalInvariant` rather than returning garbage.  Checking
     ``P`` maps the prefix afresh; :func:`forward_trace` avoids that cost.
     """
-    image, state = _forward_entries(prefix.entries)
-    if P.steps != image:
+    steps = _steps_of(P)
+    image, state = _forward_entries(_entries_of(prefix))
+    if steps != image:
         raise InputError(f"{P} is not the image {image} of the prefix {prefix}")
     allowed = _next_values(state)
     if type(u) is not int or u not in allowed:
@@ -296,14 +340,14 @@ def forward_step(P: DyckPath, prefix: AscentSequence, u: int) -> tuple[DyckPath,
 
 def forward(seq: AscentSequence) -> DyckPath:
     """Map a 021-avoiding ascent sequence to its Dyck path."""
-    path, state = _forward_entries(seq.entries)
+    path, state = _forward_entries(_entries_of(seq))
     _assert_carried_degree(path, state[3])
     return DyckPath(path)
 
 
 def forward_trace(seq: AscentSequence) -> ForwardTrace:
     """Like :func:`forward` but keeping every step record."""
-    entries = seq.entries
+    entries = _entries_of(seq)
     _require_021(entries)
     initial = path = DyckPath("UD")
     records = []
@@ -320,40 +364,89 @@ def forward_trace(seq: AscentSequence) -> ForwardTrace:
 # -- inverse map --------------------------------------------------------------
 
 
-def _classify(steps: str) -> int:
+def _classify(steps: str, elevated: bool | None = None) -> int:
     # order of tests: the long-last-ascent and ends-with-peak probes are
-    # constant time; elevation needs a scan and is mutually exclusive
-    # with ending in UD once the size is at least 2
+    # constant time; elevation, mutually exclusive with ending in UD once
+    # the size is at least 2, is read off a carried spine when the caller
+    # has one and scanned otherwise
     r = steps.rfind(UP)
     if r >= 1 and steps[r - 1] == UP:
         return 1
     if steps.endswith("UD"):
         return 3
-    return 2 if _is_elevated_steps(steps) else 4
+    if elevated is None:
+        elevated = _is_elevated_steps(steps)
+    return 2 if elevated else 4
 
 
 def classify_inverse_case(P: DyckPath) -> int:
     """Which of the four inverse moves applies: 1 long last ascent,
     2 elevated, 3 ends with a peak at ground, 4 the rest."""
-    if P.size < 2:
+    steps = _steps_of(P)
+    if len(steps) < 4:
         raise TooSmall("inverse cases are defined for size >= 2")
-    return _classify(P.steps)
+    return _classify(steps)
 
 
-def _inverse_step_core(steps: str):
+def _left_spine(steps: str) -> list[list]:
+    # the left spine of a word (see the module docstring) in one scan.
+    # Past the first peak, at height h, the path first comes back down to
+    # each height b < h where the first ground component of the word
+    # lowered by b ends, and the lowest valley seen by then is that
+    # component's lowest inner valley; all of them are seen by the first
+    # return to ground.
+    h = steps.find(DOWN)
+    returns: list = [None] * h
+    bal = floor = h
+    lowest = None
+    for k in range(h, len(steps)):
+        if steps[k] == UP:
+            if steps[k - 1] == DOWN and (lowest is None or bal < lowest):
+                lowest = bal
+            bal += 1
+        else:
+            bal -= 1
+            if bal < floor:
+                floor = bal
+                returns[bal] = (k + 1, lowest)
+                if not bal:
+                    break
+    spine = []
+    b = 0
+    while b is not None:
+        end, low = returns[b]
+        spine.append([end - b, None if low is None else low - b])
+        b = low
+    spine.reverse()
+    return spine
+
+
+def _inverse_step_core(steps: str, spine=None):
     """One unwinding step on a raw step word.
 
     Returns (new_path, case_id, emitted, mark_offset, rank) where emitted
     is None for case 2, and mark_offset (0-based, in the new path) and
-    rank are set only for case 4.
+    rank are set only for case 4.  A ``spine``, the left spine of
+    ``steps`` (see the module docstring), gives the elevation without a
+    scan and is updated in place to the spine of new_path.
     """
-    case_id = _classify(steps)
+    elevated = None if spine is None else spine[-1][0] == len(steps)
+    case_id = _classify(steps, elevated)
     if case_id == 1:
         i = steps.rfind("UD")
+        if elevated:
+            spine[-1][0] -= 2
         return steps[:i] + steps[i + 2 :], 1, 0, None, None
     if case_id == 3:
         return steps[:-2], 3, steps.count("DU"), None, None
     if case_id == 2:
+        if spine is not None:
+            top = spine[-1]
+            if top[1] == 1:
+                spine.pop()
+            else:
+                top[0] -= 2
+                top[1] -= 1
         return steps[1:-1], 2, None, None, None
     # case 4: mark the second downstep of the terminal descent, delete the
     # last peak (the mark slides two places left), then move every upstep
@@ -371,6 +464,8 @@ def _inverse_step_core(steps: str):
     # kept as a branch: one splice for every count unwound n=11 4.7 % slower
     if moved:
         new = UP * moved + shorter[:c0] + shorter[u0:]
+        if spine is not None:
+            spine.append([len(new), moved])
     else:
         new = shorter
     keys = _key_downsteps(new)
@@ -386,9 +481,10 @@ def _inverse_step_core(steps: str):
 def inverse_step(P: DyckPath) -> InverseStepRecord:
     """Shrink the path by one, reporting the emitted entry (or the repeat
     marker) and, for case 4, the mark and its right-to-left rank."""
-    if P.size < 2:
+    steps = _steps_of(P)
+    if len(steps) < 4:
         raise TooSmall("cannot unwind a path of size 1")
-    new_steps, case_id, emitted, mark0, rank = _inverse_step_core(P.steps)
+    new_steps, case_id, emitted, mark0, rank = _inverse_step_core(steps)
     return InverseStepRecord(
         size=P.size,
         case_id=case_id,
@@ -399,10 +495,21 @@ def inverse_step(P: DyckPath) -> InverseStepRecord:
     )
 
 
-def _inverse_entries(steps: str) -> list[int]:
+def _assert_carried_spine(spine) -> None:
+    # a left spine that drifted from the word's own would read a later
+    # case 2 as case 4 or the other way round
+    if spine != [[2, None]]:
+        raise InternalInvariant(f"carried left spine {spine} at UD, not [[2, None]]")
+
+
+def _inverse_entries(steps: str, spine=None) -> list[int]:
+    # the preimage's entries, unwound with the word's left spine carried
+    # in ``spine``, which is built here unless the caller hands it in
+    if spine is None:
+        spine = _left_spine(steps)
     emissions: list[int | None] = []
     while len(steps) > 2:
-        steps, _, emitted, _, _ = _inverse_step_core(steps)
+        steps, _, emitted, _, _ = _inverse_step_core(steps, spine)
         emissions.append(emitted)
     entries = [0]
     for e in reversed(emissions):
@@ -412,12 +519,17 @@ def _inverse_entries(steps: str) -> list[int]:
 
 def inverse(P: DyckPath) -> AscentSequence:
     """Map a Dyck path back to its 021-avoiding ascent sequence."""
-    return AscentSequence(tuple(_inverse_entries(P.steps)))
+    steps = _steps_of(P)
+    spine = _left_spine(steps)
+    entries = _inverse_entries(steps, spine)
+    _assert_carried_spine(spine)
+    return AscentSequence(tuple(entries))
 
 
 def inverse_trace(P: DyckPath) -> InverseTrace:
     """Like :func:`inverse` but keeping every step record; the resolved
     sequence is available as ``trace.sequence``."""
+    _require_type(P, DyckPath, "path")
     records = []
     current = P
     while current.size > 1:

@@ -3,8 +3,10 @@
 Input problems subclass :class:`InputError` (a ``ValueError``); conditions
 that can only arise from a bug in the library itself subclass
 :class:`InternalInvariant` (a ``RuntimeError``).  Errors that point at a
-single offending element carry its 1-based position.  ``_require_int``
-is the one type check that sizes, indices, vertices and counts share.
+single offending element carry its 1-based position.  ``_require_type``
+is the one type check that public arguments share: sizes, indices,
+vertices and counts through ``_require_int``, and the sequences, paths
+and step references handed to the public functions.
 """
 
 
@@ -120,8 +122,16 @@ class CapExceeded(InputError):
     pass
 
 
+def _require_type(value, cls: type, what: str) -> None:
+    # exactly cls: a bool, float or digit string is no size, index, vertex
+    # or count, and a list, str or int is no sequence, path or step
+    # reference
+    if type(value) is not cls:
+        article = "an" if cls.__name__[0] in "AEIOUaeiou" else "a"
+        raise InputError(
+            f"{what} must be {article} {cls.__name__}, got {type(value).__name__}"
+        )
+
+
 def _require_int(value, what: str) -> None:
-    # exactly int, as for sequence entries: a bool, float or digit string
-    # is no size, index, vertex or count
-    if type(value) is not int:
-        raise InputError(f"{what} must be an int, got {value!r}")
+    _require_type(value, int, what)

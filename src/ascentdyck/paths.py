@@ -29,6 +29,7 @@ from .errors import (
     Unbalanced,
     WrongKind,
     _require_int,
+    _require_type,
 )
 
 UP = "U"
@@ -91,6 +92,12 @@ class DyckPath:
         return self.steps.translate(_STEP_TO_PAREN)
 
 
+def _steps_of(p: DyckPath) -> str:
+    # the step word of a path handed to a public function
+    _require_type(p, DyckPath, "path")
+    return p.steps
+
+
 @dataclass(frozen=True)
 class StepRef:
     """1-based handle onto one step of a particular path."""
@@ -130,6 +137,7 @@ def parse_path(text: str) -> DyckPath:
 
 def _check_ref(steps: str, ref: StepRef, want: str) -> int:
     # shared StepRef screening; returns the 0-based offset
+    _require_type(ref, StepRef, "step reference")
     if not 1 <= ref.index <= len(steps):
         raise IndexOutOfRange(
             f"step index {ref.index} out of range 1..{len(steps)}"
@@ -146,44 +154,45 @@ def _check_ref(steps: str, ref: StepRef, want: str) -> int:
 
 def vertex_height(p: DyckPath, v: int) -> int:
     """Height above ground of vertex v, 0 <= v <= 2n."""
+    s = _steps_of(p)
     _require_int(v, "vertex")
-    if not 0 <= v <= len(p.steps):
-        raise IndexOutOfRange(f"vertex {v} out of range 0..{len(p.steps)}")
-    return 2 * p.steps.count(UP, 0, v) - v
+    if not 0 <= v <= len(s):
+        raise IndexOutOfRange(f"vertex {v} out of range 0..{len(s)}")
+    return 2 * s.count(UP, 0, v) - v
 
 
 def first_descent_length(p: DyckPath) -> int:
-    s = p.steps
+    s = _steps_of(p)
     i = s.find(DOWN)
     j = s.find(UP, i)
     return (len(s) if j == -1 else j) - i
 
 
 def last_ascent_length(p: DyckPath) -> int:
-    s = p.steps
+    s = _steps_of(p)
     r = s.rfind(UP)
     return r - s.rfind(DOWN, 0, r)
 
 
 def valley_count(p: DyckPath) -> int:
     """Number of DU factors."""
-    return p.steps.count("DU")
+    return _steps_of(p).count("DU")
 
 
 def duu_count(p: DyckPath) -> int:
     """Number of DUU factors."""
-    return p.steps.count("DUU")
+    return _steps_of(p).count("DUU")
 
 
 def peak_positions(p: DyckPath) -> list[int]:
     """Vertex indices of the peaks (the point between each UD factor)."""
-    s = p.steps
+    s = _steps_of(p)
     return [i + 1 for i in range(len(s) - 1) if s[i] == UP and s[i + 1] == DOWN]
 
 
 def is_pyramid(p: DyckPath) -> bool:
     # a Dyck path with no valley is all upsteps then all downsteps
-    return "DU" not in p.steps
+    return "DU" not in _steps_of(p)
 
 
 def _is_elevated_steps(steps: str) -> bool:
@@ -201,7 +210,7 @@ def _is_elevated_steps(steps: str) -> bool:
 
 def is_elevated(p: DyckPath) -> bool:
     """True when the only return to ground level is the final step."""
-    return _is_elevated_steps(p.steps)
+    return _is_elevated_steps(_steps_of(p))
 
 
 def _degree_of_elevation(steps: str) -> int | None:
@@ -218,7 +227,7 @@ def _degree_of_elevation(steps: str) -> int | None:
 def degree_of_elevation(p: DyckPath) -> int | None:
     """Height of the lowest valley vertex; None for pyramids, which have
     none.  It is 0 exactly for non-elevated (non-pyramid) paths."""
-    return _degree_of_elevation(p.steps)
+    return _degree_of_elevation(_steps_of(p))
 
 
 def _match_down(steps: str, d0: int) -> int:
@@ -244,18 +253,18 @@ def _match_up(steps: str, u0: int) -> int:
 def match_of_downstep(p: DyckPath, d: StepRef) -> StepRef:
     """The upstep opening the shortest balanced subword this downstep
     closes.  Inverse of :func:`match_of_upstep`."""
-    d0 = _check_ref(p.steps, d, DOWN)
-    return StepRef(_match_down(p.steps, d0) + 1, UP)
+    s = _steps_of(p)
+    return StepRef(_match_down(s, _check_ref(s, d, DOWN)) + 1, UP)
 
 
 def match_of_upstep(p: DyckPath, u: StepRef) -> StepRef:
-    u0 = _check_ref(p.steps, u, UP)
-    return StepRef(_match_up(p.steps, u0) + 1, DOWN)
+    s = _steps_of(p)
+    return StepRef(_match_up(s, _check_ref(s, u, UP)) + 1, DOWN)
 
 
 def terminal_descent(p: DyckPath) -> range:
     """1-based step indices of the maximal downstep run ending the path."""
-    s = p.steps
+    s = _steps_of(p)
     return range(s.rfind(UP) + 2, len(s) + 1)
 
 
@@ -291,7 +300,7 @@ def _key_downsteps(steps: str) -> list[int]:
 def key_downsteps(p: DyckPath) -> list[StepRef]:
     """Downsteps on the terminal descent whose matching upstep is the
     middle U of a DUU factor, in left-to-right order."""
-    return [StepRef(d0 + 1, DOWN) for d0 in _key_downsteps(p.steps)]
+    return [StepRef(d0 + 1, DOWN) for d0 in _key_downsteps(_steps_of(p))]
 
 
 # -- edits -----------------------------------------------------------------
@@ -299,7 +308,7 @@ def key_downsteps(p: DyckPath) -> list[StepRef]:
 
 def insert_ud_at_vertex(p: DyckPath, v: int) -> DyckPath:
     """Splice a new peak into the path at vertex v."""
-    s = p.steps
+    s = _steps_of(p)
     _require_int(v, "vertex")
     if not 0 <= v <= len(s):
         raise IndexOutOfRange(f"vertex {v} out of range 0..{len(s)}")
@@ -308,25 +317,27 @@ def insert_ud_at_vertex(p: DyckPath, v: int) -> DyckPath:
 
 def elevate(p: DyckPath) -> DyckPath:
     """Raise the whole path by one: prepend an upstep, append a downstep."""
-    return DyckPath(UP + p.steps + DOWN)
+    return DyckPath(UP + _steps_of(p) + DOWN)
 
 
 def lower(p: DyckPath) -> DyckPath:
     """Drop the first and last steps; requires an elevated path of size >= 2
     so that the result is again a Dyck path."""
-    if p.size < 2:
+    s = _steps_of(p)
+    if len(s) < 4:
         raise TooSmall("cannot lower a path of size 1")
-    if not is_elevated(p):
+    if not _is_elevated_steps(s):
         raise NotElevated("only elevated paths can be lowered")
-    return DyckPath(p.steps[1:-1])
+    return DyckPath(s[1:-1])
 
 
 def delete_last_peak(p: DyckPath) -> DyckPath:
     """Remove the rightmost adjacent UD pair."""
-    if p.size < 2:
+    s = _steps_of(p)
+    if len(s) < 4:
         raise TooSmall("cannot delete the only peak")
-    i = p.steps.rfind("UD")
-    return DyckPath(p.steps[:i] + p.steps[i + 2 :])
+    i = s.rfind("UD")
+    return DyckPath(s[:i] + s[i + 2 :])
 
 
 def transfer_upsteps_from_front(p: DyckPath, count: int, to_ascent_of: StepRef) -> DyckPath:
@@ -338,7 +349,7 @@ def transfer_upsteps_from_front(p: DyckPath, count: int, to_ascent_of: StepRef) 
     back).  Fails atomically with :class:`ResultInvalid` if the edited
     word dips below ground, which the construction never lets happen.
     """
-    s = p.steps
+    s = _steps_of(p)
     i0 = _check_ref(s, to_ascent_of, UP)
     _require_int(count, "transfer count")
     if count < 0:
@@ -364,7 +375,7 @@ def transfer_upsteps_to_front(p: DyckPath, count: int, before_up: StepRef) -> Dy
     """Exact inverse of :func:`transfer_upsteps_from_front`: move the
     ``count`` upsteps immediately preceding the referenced upstep (within
     its ascent) to the front of the path."""
-    s = p.steps
+    s = _steps_of(p)
     i0 = _check_ref(s, before_up, UP)
     _require_int(count, "transfer count")
     if count < 0:
@@ -427,7 +438,7 @@ def _path_stats_raw(steps: str) -> tuple[int, int, int, int, int | None]:
 
 
 def path_statistics(p: DyckPath) -> PathStats:
-    return PathStats(*_path_stats_raw(p.steps))
+    return PathStats(*_path_stats_raw(_steps_of(p)))
 
 
 def render_ascii(p: DyckPath) -> str:
@@ -435,7 +446,7 @@ def render_ascii(p: DyckPath) -> str:
     upstep on the row of the height it rises to, ``\\`` for a downstep on
     the row of the height it falls from.  Rows are emitted top-down with
     trailing spaces trimmed; the result ends with a newline."""
-    s = p.steps
+    s = _steps_of(p)
     heights = [0]
     for c in s:
         heights.append(heights[-1] + (1 if c == UP else -1))

@@ -26,6 +26,7 @@ from .errors import (
     Not021Avoiding,
     SizeZero,
     _require_int,
+    _require_type,
 )
 
 
@@ -71,6 +72,12 @@ class AscentSequence:
         return ",".join(map(str, self.entries))
 
 
+def _entries_of(seq: AscentSequence) -> tuple[int, ...]:
+    # the entries of a sequence handed to a public function
+    _require_type(seq, AscentSequence, "sequence")
+    return seq.entries
+
+
 def validate_ascent_sequence(raw: Iterable[int]) -> AscentSequence:
     """Check the two defining conditions and wrap the entries."""
     return AscentSequence(raw)
@@ -104,13 +111,13 @@ def parse_sequence(text: str) -> AscentSequence:
 
 def ascent_count(seq: AscentSequence) -> int:
     """Number of positions i with entries[i] < entries[i+1]."""
-    e = seq.entries
+    e = _entries_of(seq)
     return sum(1 for i in range(len(e) - 1) if e[i] < e[i + 1])
 
 
 def is_021_avoiding(seq: AscentSequence) -> bool:
     """True when the nonzero entries are weakly increasing."""
-    return _first_021_violation(seq.entries) is None
+    return _first_021_violation(_entries_of(seq)) is None
 
 
 def _first_021_violation(entries: Sequence[int]) -> int | None:
@@ -180,7 +187,11 @@ class AllowableList:
     ascent_count: int
 
     def __post_init__(self):
+        _require_type(self.values, tuple, "allowable values")
+        _require_int(self.max_entry, "max entry")
+        _require_int(self.ascent_count, "ascent count")
         for idx, v in enumerate(self.values):
+            _require_int(v, "allowable value")
             if v <= 0 or v > self.ascent_count:
                 raise InputError(f"allowable value {v} out of range")
             if idx and v != self.values[idx - 1] + 1:
@@ -252,7 +263,7 @@ def allowable_nonzero_values(prefix: AscentSequence) -> AllowableList:
     (a nonzero last entry always equals m here).  Empty when the lower
     bound exceeds a.  A prefix outside the family raises Not021Avoiding.
     """
-    return _allowable(_prefix_state(prefix.entries))
+    return _allowable(_prefix_state(_entries_of(prefix)))
 
 
 def allowable_next_values(prefix: AscentSequence) -> list[int]:
@@ -263,7 +274,7 @@ def allowable_next_values(prefix: AscentSequence) -> list[int]:
     includes a repeat of the last entry when that entry is nonzero.  A
     prefix outside the family, which nothing extends, raises Not021Avoiding.
     """
-    return _next_values(_prefix_state(prefix.entries))
+    return _next_values(_prefix_state(_entries_of(prefix)))
 
 
 def _walk_021(n: int, step=None):
@@ -364,4 +375,4 @@ def _sequence_stats_raw(entries: Sequence[int]) -> tuple[int, int, int, int, int
 def sequence_statistics(seq: AscentSequence) -> SequenceStats:
     """Count initial and terminal zeros, ascents, descents, and the run of
     entries equal to (and immediately left of) the last nonzero entry."""
-    return SequenceStats(*_sequence_stats_raw(seq.entries))
+    return SequenceStats(*_sequence_stats_raw(_entries_of(seq)))

@@ -386,3 +386,64 @@ class TestStructuralInvariants:
                 if seq.entries[i] > seq.entries[i + 1]
             )
             assert d == duu_count(p)
+
+
+class TestTypedArguments:
+    # a plain str or list passes no DyckPath or AscentSequence check
+    @pytest.mark.parametrize("call", [
+        lambda: inverse("UD"),
+        lambda: inverse_step("UUDD"),
+        lambda: inverse_trace("UD"),
+        lambda: classify_inverse_case("UUDD"),
+        lambda: forward([0, 1]),
+        lambda: forward_trace([0, 1]),
+        lambda: forward_step("UD", validate_ascent_sequence([0]), 1),
+        lambda: forward_step(DyckPath("UD"), [0], 1),
+    ], ids=["inverse", "inverse_step", "inverse_trace", "classify_inverse_case",
+            "forward", "forward_trace", "forward_step_path", "forward_step_prefix"])
+    def test_plain_values_raise_input_error(self, call):
+        with pytest.raises(InputError, match=r"must be an? (DyckPath|AscentSequence)"):
+            call()
+
+
+class TestCarriedSpine:
+    def test_drifted_spine_is_caught_at_ud(self, monkeypatch):
+        # an extra pair makes UDUD read as elevated, and no step pops it
+        from ascentdyck import bijection
+
+        built = bijection._left_spine
+        monkeypatch.setattr(bijection, "_left_spine",
+                            lambda steps: [*built(steps), [len(steps), 1]])
+        with pytest.raises(InternalInvariant,
+                           match=r"carried left spine \[\[2, None\], \[4, 1\]\] at UD"):
+            inverse(DyckPath("UDUD"))
+
+    @pytest.mark.parametrize("steps, spine", [
+        ("UD", [[2, None]]),
+        ("UUDD", [[4, None]]),
+        ("UDUUDD", [[2, None]]),
+        ("UUDUDDUD", [[2, None], [6, 1]]),
+        ("UUUDUDDD", [[2, None], [8, 2]]),
+        ("UUUDDUDDUD", [[4, None], [8, 1]]),
+        (WORKED_PATH, [[2, None]]),
+    ])
+    def test_built_spines(self, steps, spine):
+        from ascentdyck.bijection import _left_spine
+
+        assert _left_spine(steps) == spine
+
+    def test_unwinding_reads_every_case_from_the_spine(self, monkeypatch):
+        # classify sees the carried elevation on every step of unmap, and
+        # the step cores see the spine; inverse_step still scans
+        from ascentdyck import bijection
+
+        seen = []
+        classify = bijection._classify
+        monkeypatch.setattr(bijection, "_classify",
+                            lambda steps, elevated=None: seen.append(elevated)
+                            or classify(steps, elevated))
+        inverse(DyckPath(WORKED_PATH))
+        assert len(seen) == 7 and None not in seen
+        seen.clear()
+        inverse_step(DyckPath(WORKED_PATH))
+        assert seen == [None]

@@ -1,17 +1,23 @@
-"""Seeded random members of the family past the exhaustive frontier.
+"""Seeded random members of the family past the exhaustive frontier, and
+the carried states of both directions against their measured oracles.
 
 The members are drawn straight from the definitions (an entry is at most
 one more than the ascents so far, and nonzero entries never decrease),
 not from the library's own menus, so the draw stays an independent
-oracle for the construction at sizes no sweep reaches.
+oracle for the construction at sizes no sweep reaches.  The paths are
+drawn uniformly by the cycle lemma, whose shapes the sequence-side draw
+does not reach.
 """
 
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from ascentdyck import (
     AscentSequence,
+    DyckPath,
     classify_inverse_case,
     forward,
     forward_step,
@@ -21,8 +27,9 @@ from ascentdyck import (
     path_statistics,
     sequence_statistics,
 )
-from ascentdyck.bijection import _forward_step_core
-from ascentdyck.paths import _degree_of_elevation
+from ascentdyck import bijection
+from ascentdyck.bijection import _forward_step_core, _inverse_entries
+from ascentdyck.paths import _degree_of_elevation, _is_elevated_steps, _iter_dyck_steps
 
 SEED = 20140
 MEMBERS = 80
@@ -39,6 +46,26 @@ def draw_member(rng: random.Random, n: int) -> tuple[int, ...]:
         top = max(top, v)
         entries.append(v)
     return tuple(entries)
+
+
+def cycle_lemma_word(steps) -> str:
+    """Of the 2n + 1 rotations of a word with n upsteps and n + 1
+    downsteps, exactly one, the one starting just past the first lowest
+    point, is a Dyck word followed by a downstep: that Dyck word."""
+    bal = low = cut = 0
+    for i, c in enumerate(steps):
+        bal += 1 if c == "U" else -1
+        if bal < low:
+            low, cut = bal, i + 1
+    return "".join([*steps[cut:], *steps[: cut - 1]])
+
+
+def draw_path(rng: random.Random, n: int) -> str:
+    """A uniform Dyck word of size n: every Dyck word comes from exactly
+    2n + 1 of the equally likely shuffles."""
+    steps = ["U"] * n + ["D"] * (n + 1)
+    rng.shuffle(steps)
+    return cycle_lemma_word(steps)
 
 
 def members():
@@ -61,11 +88,43 @@ def measured_forward(entries: tuple[int, ...]) -> str:
     return path
 
 
+def measured_inverse_entries(steps: str) -> list[int]:
+    """The unwinding with the elevation scanned on the word at every step
+    instead of read off a carried left spine: the oracle for the spine."""
+    emissions = []
+    while len(steps) > 2:
+        steps, _, emitted, _, _ = bijection._inverse_step_core(steps)
+        emissions.append(emitted)
+    entries = [0]
+    for emitted in reversed(emissions):
+        entries.append(entries[-1] if emitted is None else emitted)
+    return entries
+
+
+def spine_by_definition(steps: str) -> list[list]:
+    """The left spine read off its definition: the end and lowest inner
+    valley of the first ground component, then the same for that
+    component lowered by its lowest valley, until a pyramid."""
+    spine = []
+    while True:
+        bal = 0
+        for end, c in enumerate(steps, start=1):
+            bal += 1 if c == "U" else -1
+            if not bal:
+                break
+        low = _degree_of_elevation(steps[:end])
+        spine.append([end, low])
+        if low is None:
+            return spine[::-1]
+        steps = steps[low : end - low]
+
+
 @pytest.mark.parametrize("entries", members(), ids=lambda e: f"n{len(e)}")
 def test_random_member(entries):
     s = AscentSequence(entries)
     p = forward(s)
     assert p.steps == measured_forward(entries)
+    assert _inverse_entries(p.steps) == measured_inverse_entries(p.steps)
     assert inverse(p) == s
 
     seq, path = sequence_statistics(s), path_statistics(p)
@@ -91,3 +150,58 @@ def test_random_member(entries):
 def test_carried_degree_matches_the_measured_one_at_2000_entries(seed):
     entries = draw_member(random.Random(SEED + seed), 2000)
     assert forward(AscentSequence(entries)).steps == measured_forward(entries)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_carried_spine_matches_the_measured_unwinding_at_2000_entries(seed):
+    entries = draw_member(random.Random(SEED + seed), 2000)
+    steps = forward(AscentSequence(entries)).steps
+    assert _inverse_entries(steps) == measured_inverse_entries(steps) == list(entries)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_carried_spine_matches_the_measured_unwinding_on_every_path(n):
+    for steps in _iter_dyck_steps(n):
+        assert _inverse_entries(steps) == measured_inverse_entries(steps), steps
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_carried_spine_equals_a_rebuilt_one_after_every_step(n):
+    for steps in _iter_dyck_steps(n):
+        spine = bijection._left_spine(steps)
+        assert spine == spine_by_definition(steps), steps
+        while len(steps) > 2:
+            steps = bijection._inverse_step_core(steps, spine)[0]
+            assert spine == spine_by_definition(steps), steps
+            assert (spine[-1][0] == len(steps)) == _is_elevated_steps(steps), steps
+        assert spine == [[2, None]]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_cycle_lemma_hits_every_path_equally_often(n):
+    counts = Counter(
+        cycle_lemma_word(["D" if k in downs else "U" for k in range(2 * n + 1)])
+        for downs in map(set, combinations(range(2 * n + 1), n + 1))
+    )
+    assert sorted(counts) == sorted(_iter_dyck_steps(n))
+    assert set(counts.values()) == {2 * n + 1}
+
+
+def uniform_paths():
+    rng = random.Random(SEED)
+    return [draw_path(rng, rng.randint(500, 2000)) for _ in range(4)]
+
+
+@pytest.mark.parametrize("steps", uniform_paths(), ids=lambda s: f"n{len(s) // 2}")
+def test_uniform_path(steps):
+    p = DyckPath(steps)
+    s = inverse(p)
+    assert list(s.entries) == measured_inverse_entries(steps)
+    assert forward(s) == p
+
+    seq, path = sequence_statistics(s), path_statistics(p)
+    assert seq.initial_zeros == path.first_descent_length
+    assert seq.terminal_zeros == path.last_ascent_length - 1
+    assert seq.ascents == path.valleys
+    assert seq.descents == path.duu_count
+    assert seq.eq_run_before_last_nonzero == path.degree_of_elevation

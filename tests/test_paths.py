@@ -489,3 +489,44 @@ class TestRender:
             assert len(rows) == top
             assert all(len(r) <= len(p.steps) for r in rows)
             assert sum(r.count("/") + r.count("\\") for r in rows) == len(p.steps)
+
+
+class TestTypedArguments:
+    # a plain str passes no DyckPath check and an int no StepRef check
+    @pytest.mark.parametrize("call", [
+        lambda: key_downsteps("UUDD"),
+        lambda: match_of_downstep(DyckPath("UUDD"), 3),
+        lambda: match_of_upstep(DyckPath("UUDD"), 1),
+        lambda: transfer_upsteps_from_front(DyckPath("UUDUDD"), 1, 4),
+        lambda: transfer_upsteps_to_front(DyckPath("UDUUDD"), 1, 4),
+        lambda: path_statistics("UD"),
+        lambda: render_ascii("UD"),
+        lambda: degree_of_elevation("UD"),
+        lambda: is_elevated("UD"),
+        lambda: is_pyramid("UD"),
+        lambda: vertex_height("UD", 0),
+        lambda: first_descent_length("UD"),
+        lambda: last_ascent_length("UD"),
+        lambda: valley_count("UD"),
+        lambda: duu_count("UD"),
+        lambda: peak_positions("UD"),
+        lambda: terminal_descent("UD"),
+        lambda: match_of_downstep("UUDD", StepRef(3, DOWN)),
+        lambda: match_of_upstep("UUDD", StepRef(1, UP)),
+        lambda: insert_ud_at_vertex("UD", 0),
+        lambda: elevate("UD"),
+        lambda: lower("UUDD"),
+        lambda: delete_last_peak("UDUD"),
+        lambda: transfer_upsteps_from_front("UUDUDD", 1, StepRef(4, UP)),
+        lambda: transfer_upsteps_to_front("UDUUDD", 1, StepRef(4, UP)),
+    ], ids=["key_downsteps", "match_of_downstep_ref", "match_of_upstep_ref",
+            "transfer_from_front_ref", "transfer_to_front_ref", "path_statistics",
+            "render_ascii", "degree_of_elevation", "is_elevated", "is_pyramid",
+            "vertex_height", "first_descent_length", "last_ascent_length",
+            "valley_count", "duu_count", "peak_positions", "terminal_descent",
+            "match_of_downstep", "match_of_upstep", "insert_ud_at_vertex",
+            "elevate", "lower", "delete_last_peak", "transfer_from_front",
+            "transfer_to_front"])
+    def test_plain_values_raise_input_error(self, call):
+        with pytest.raises(InputError, match=r"must be a (DyckPath|StepRef), got (str|int)"):
+            call()

@@ -3,6 +3,7 @@ from itertools import combinations, product
 import pytest
 
 from ascentdyck import (
+    AllowableList,
     AscentSequence,
     AscentBoundViolated,
     EmptyInput,
@@ -332,3 +333,30 @@ def test_sequences_are_hashable_values():
     b = validate_ascent_sequence([0, 1, 1])
     assert a == b and hash(a) == hash(b)
     assert len(a) == 3
+
+
+class TestTypedArguments:
+    # a plain list passes no AscentSequence check
+    @pytest.mark.parametrize("call", [
+        lambda: sequence_statistics([0, 1]),
+        lambda: allowable_next_values([0, 1]),
+        lambda: allowable_nonzero_values([0, 1]),
+        lambda: is_021_avoiding([0, 1]),
+        lambda: ascent_count([0, 1]),
+    ], ids=["sequence_statistics", "allowable_next_values",
+            "allowable_nonzero_values", "is_021_avoiding", "ascent_count"])
+    def test_plain_lists_raise_input_error(self, call):
+        with pytest.raises(InputError, match="sequence must be an AscentSequence, got list"):
+            call()
+
+    @pytest.mark.parametrize("args, what", [
+        ((("1",), 1, 1), "allowable value"),
+        (((1.0,), 1, 1), "allowable value"),
+        (((True,), 1, 1), "allowable value"),
+        (([1], 1, 1), "allowable values"),
+        (((1,), "1", 1), "max entry"),
+        (((1,), 1, 1.0), "ascent count"),
+    ])
+    def test_menu_fields_must_be_exact(self, args, what):
+        with pytest.raises(InputError, match=f"{what} must be an? "):
+            AllowableList(*args)

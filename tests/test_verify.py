@@ -129,8 +129,8 @@ def failing_edges(n):
 
 
 def case3_emits_one_more(core):
-    def broken(steps):
-        stepped = core(steps)
+    def broken(steps, *carried):
+        stepped = core(steps, *carried)
         if stepped[1] == 3:
             return (stepped[0], 3, stepped[2] + 1, None, None)
         return stepped
@@ -139,8 +139,8 @@ def case3_emits_one_more(core):
 
 
 def case1_drops_the_first_peak(core):
-    def broken(steps):
-        stepped = core(steps)
+    def broken(steps, *carried):
+        stepped = core(steps, *carried)
         if stepped[1] == 1:
             i = steps.find("UD")
             return (steps[:i] + steps[i + 2 :], *stepped[1:])
@@ -399,10 +399,10 @@ class TestChecks:
         core = bijection._inverse_step_core
         calls = 0
 
-        def counted(steps):
+        def counted(steps, *carried):
             nonlocal calls
             calls += 1
-            return core(steps)
+            return core(steps, *carried)
 
         monkeypatch.setattr(bijection, "_inverse_step_core", counted)
         assert check_roundtrip(9).passed
