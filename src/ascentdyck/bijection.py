@@ -74,17 +74,18 @@ builds the spine, and each step keeps it exact in constant time:
           moved]; for moved = 0 P is the old word with these edits undone,
           and nothing changes.
 
-``inverse`` checks once per unwinding that the spine reached UD as
-[[2, None]], as ``forward`` checks its carried e.  ``inverse_step``,
+``inverse`` and ``inverse_trace`` carry the spine and check once per
+unwinding that it reached UD as [[2, None]], as ``forward`` checks its
+carried e.  ``inverse_step``,
 ``classify_inverse_case`` and the sweeps in ``verify`` scan for the
 elevation instead, so they stay independent of the carried state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Union
+from collections.abc import Iterator
 
+from ._record import _Record
 from .errors import (
     EntryNotAllowed,
     InputError,
@@ -92,7 +93,6 @@ from .errors import (
     SizeZero,
     TooSmall,
     _require_int,
-    _require_type,
 )
 from .paths import (
     DOWN,
@@ -137,8 +137,7 @@ REPEAT_PREVIOUS = RepeatPrevious()
 # -- step records and traces -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ForwardStepRecord:
+class ForwardStepRecord(_Record):
     """What one forward step did: which entry, which case, and for case 4
     the menu, the 1-based menu position picked, and the degree of
     elevation consumed by the upstep transfer.  ``key_downsteps_before``
@@ -173,8 +172,7 @@ class ForwardStepRecord:
             raise InternalInvariant(f"malformed forward step record: {self}")
 
 
-@dataclass(frozen=True)
-class InverseStepRecord:
+class InverseStepRecord(_Record):
     """What one inverse step did at path size ``size``.  For case 4,
     ``marked_step`` locates the carried-over marked downstep inside
     ``path_after``, where it must be a key downstep, and
@@ -183,7 +181,7 @@ class InverseStepRecord:
 
     size: int
     case_id: int
-    emitted: Union[int, RepeatPrevious]
+    emitted: int | RepeatPrevious
     marked_step: StepRef | None
     rank_right_to_left: int | None
     path_after: DyckPath
@@ -195,8 +193,7 @@ class InverseStepRecord:
             raise InternalInvariant(f"malformed inverse step record: {self}")
 
 
-@dataclass(frozen=True)
-class ForwardTrace:
+class ForwardTrace(_Record):
     initial: DyckPath
     records: tuple[ForwardStepRecord, ...]
 
@@ -210,8 +207,7 @@ class ForwardTrace:
         return self.records[-1].path_after if self.records else self.initial
 
 
-@dataclass(frozen=True)
-class InverseTrace:
+class InverseTrace(_Record):
     initial: DyckPath
     records: tuple[InverseStepRecord, ...]
 
@@ -478,21 +474,27 @@ def _inverse_step_core(steps: str, spine=None):
     return new, 4, valleys - rank, mark0, rank
 
 
-def inverse_step(P: DyckPath) -> InverseStepRecord:
-    """Shrink the path by one, reporting the emitted entry (or the repeat
-    marker) and, for case 4, the mark and its right-to-left rank."""
-    steps = _steps_of(P)
-    if len(steps) < 4:
-        raise TooSmall("cannot unwind a path of size 1")
-    new_steps, case_id, emitted, mark0, rank = _inverse_step_core(steps)
+def _inverse_record(steps: str, spine=None) -> InverseStepRecord:
+    # one unwinding step from the word ``steps`` of size >= 2, reading the
+    # elevation off ``spine`` when the caller carries one
+    new_steps, case_id, emitted, mark0, rank = _inverse_step_core(steps, spine)
     return InverseStepRecord(
-        size=P.size,
+        size=len(steps) // 2,
         case_id=case_id,
         emitted=REPEAT_PREVIOUS if emitted is None else emitted,
         marked_step=None if mark0 is None else StepRef(mark0 + 1, DOWN),
         rank_right_to_left=rank,
         path_after=DyckPath(new_steps),
     )
+
+
+def inverse_step(P: DyckPath) -> InverseStepRecord:
+    """Shrink the path by one, reporting the emitted entry (or the repeat
+    marker) and, for case 4, the mark and its right-to-left rank."""
+    steps = _steps_of(P)
+    if len(steps) < 4:
+        raise TooSmall("cannot unwind a path of size 1")
+    return _inverse_record(steps)
 
 
 def _assert_carried_spine(spine) -> None:
@@ -529,13 +531,14 @@ def inverse(P: DyckPath) -> AscentSequence:
 def inverse_trace(P: DyckPath) -> InverseTrace:
     """Like :func:`inverse` but keeping every step record; the resolved
     sequence is available as ``trace.sequence``."""
-    _require_type(P, DyckPath, "path")
+    steps = _steps_of(P)
+    spine = _left_spine(steps)
     records = []
-    current = P
-    while current.size > 1:
-        record = inverse_step(current)
+    while len(steps) > 2:
+        record = _inverse_record(steps, spine)
         records.append(record)
-        current = record.path_after
+        steps = record.path_after.steps
+    _assert_carried_spine(spine)
     return InverseTrace(initial=P, records=tuple(records))
 
 

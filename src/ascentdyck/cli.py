@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 
 from .bijection import (
     ForwardStepRecord,
@@ -173,16 +172,16 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    # the raw tuples are what the stats dataclasses are built from, field
-    # by field
+    # the raw tuples are what the stats records are built from, field by
+    # field
     if args.seq is not None:
         entries = parse_sequence(_read_operand(args.seq)).entries
-        rows = zip(fields(SequenceStats), _sequence_stats_raw(entries))
+        rows = zip(SequenceStats.__match_args__, _sequence_stats_raw(entries))
     else:
         steps = parse_path(_read_operand(args.path)).steps
-        rows = zip(fields(PathStats), _path_stats_raw(steps))
-    for field, value in rows:
-        print(f"{field.name}\t{'-' if value is None else value}")
+        rows = zip(PathStats.__match_args__, _path_stats_raw(steps))
+    for name, value in rows:
+        print(f"{name}\t{'-' if value is None else value}")
     return 0
 
 

@@ -10,10 +10,10 @@ from; they are useful on their own and tested independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import accumulate
-from typing import Iterator
 
+from ._record import _Record
 from .errors import (
     BadCharacter,
     DipsBelowGround,
@@ -69,11 +69,15 @@ def _is_valid_steps(steps: str) -> bool:
     return min(accumulate(map(_STEP_HEIGHT.__getitem__, steps))) >= 0
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(_Record):
     """Immutable validated step word; equal paths compare and hash equal."""
 
     steps: str
+
+    def __init__(self, steps: str):
+        # spelled out: the generic record __init__ is slower on hot paths
+        object.__setattr__(self, "steps", steps)
+        self.__post_init__()
 
     def __post_init__(self):
         _validate_steps(self.steps)
@@ -98,8 +102,7 @@ def _steps_of(p: DyckPath) -> str:
     return p.steps
 
 
-@dataclass(frozen=True)
-class StepRef:
+class StepRef(_Record):
     """1-based handle onto one step of a particular path."""
 
     index: int
@@ -113,8 +116,7 @@ class StepRef:
             raise IndexOutOfRange(f"step index {self.index} < 1")
 
 
-@dataclass(frozen=True)
-class PathStats:
+class PathStats(_Record):
     """The five path-side statistics; ``last_ascent_length`` is reported
     raw, the comparison against terminal zeros subtracts one.
 
@@ -214,13 +216,20 @@ def is_elevated(p: DyckPath) -> bool:
 
 
 def _degree_of_elevation(steps: str) -> int | None:
-    best = None
-    bal = 0
-    last = len(steps) - 1
-    for i in range(last):
-        bal += 1 if steps[i] == UP else -1
-        if steps[i] == DOWN and steps[i + 1] == UP and (best is None or bal < best):
-            best = bal
+    # hop from valley to valley: the valley after the D of a DU at offset
+    # i has height 2 * (upsteps before i) - (i + 1), and none is below 0
+    i = steps.find("DU")
+    if i < 0:
+        return None
+    best = len(steps)
+    ups = lo = 0
+    while i >= 0 and best:
+        ups += steps.count(UP, lo, i)
+        h = 2 * ups - i - 1
+        if h < best:
+            best = h
+        lo = i
+        i = steps.find("DU", i + 2)
     return best
 
 

@@ -12,10 +12,10 @@ Positions are 1-based everywhere in reports and error messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
-from typing import Iterable, Iterator, Sequence
 
+from ._record import _Record
 from .errors import (
     AscentBoundViolated,
     EmptyInput,
@@ -30,11 +30,15 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class AscentSequence:
+class AscentSequence(_Record):
     """A validated ascent sequence.  Construction rejects invalid input."""
 
     entries: tuple[int, ...]
+
+    def __init__(self, entries: tuple[int, ...]):
+        # spelled out: the generic record __init__ is slower on hot paths
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         try:
@@ -173,8 +177,7 @@ def _closes_021_bruteforce(entries: Sequence[int]) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class AllowableList:
+class AllowableList(_Record):
     """The ordered menu of nonzero values the marked-peak construction step
     can consume, together with the prefix data it was derived from.
 
@@ -330,8 +333,7 @@ def enumerate_021_avoiding(n: int) -> Iterator[AscentSequence]:
     return (AscentSequence(entries) for entries in _iter_021_entries(n))
 
 
-@dataclass(frozen=True)
-class SequenceStats:
+class SequenceStats(_Record):
     """The five sequence-side statistics mirrored by the path side.
 
     ``terminal_zeros`` of the all-zero sequence of length n is defined as

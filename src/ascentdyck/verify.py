@@ -10,9 +10,9 @@ can be run, repeated, or split in any order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from . import bijection
+from ._record import _Record
 from .bijection import (
     _assert_carried_degree,
     _assert_classified_as,
@@ -55,15 +55,13 @@ def catalan(n: int) -> int:
     return c[n]
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(_Record):
     kind: str
     witness: str
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Record):
     """Outcome of one check at one size.  ``failures`` keeps at most the
     first 100 witnesses; it is empty exactly when everything passed.
     ``failures_total`` counts every failure, kept or not."""

@@ -447,3 +447,25 @@ class TestCarriedSpine:
         seen.clear()
         inverse_step(DyckPath(WORKED_PATH))
         assert seen == [None]
+
+    def test_trace_reads_every_case_from_the_spine(self, monkeypatch):
+        from ascentdyck import bijection
+
+        seen = []
+        classify = bijection._classify
+        monkeypatch.setattr(bijection, "_classify",
+                            lambda steps, elevated=None: seen.append(elevated)
+                            or classify(steps, elevated))
+        trace = inverse_trace(DyckPath(WORKED_PATH))
+        assert len(seen) == len(trace.records) == 7 and None not in seen
+        assert list(trace.sequence.entries) == WORKED_SEQUENCE
+
+    def test_drifted_spine_is_caught_at_ud_in_the_trace(self, monkeypatch):
+        from ascentdyck import bijection
+
+        built = bijection._left_spine
+        monkeypatch.setattr(bijection, "_left_spine",
+                            lambda steps: [*built(steps), [len(steps), 1]])
+        with pytest.raises(InternalInvariant,
+                           match=r"carried left spine \[\[2, None\], \[4, 1\]\] at UD"):
+            inverse_trace(DyckPath("UDUD"))

@@ -23,6 +23,7 @@ from ascentdyck import (
     forward_step,
     forward_trace,
     inverse,
+    inverse_step,
     inverse_trace,
     path_statistics,
     sequence_statistics,
@@ -88,6 +89,28 @@ def measured_forward(entries: tuple[int, ...]) -> str:
     return path
 
 
+def scanned_degree_of_elevation(steps: str) -> int | None:
+    """The height of the lowest valley by a walk over every step: the
+    oracle for the valley-to-valley hops of ``_degree_of_elevation``."""
+    best = None
+    bal = 0
+    for i in range(len(steps) - 1):
+        bal += 1 if steps[i] == "U" else -1
+        if steps[i] == "D" and steps[i + 1] == "U" and (best is None or bal < best):
+            best = bal
+    return best
+
+
+def stepped_trace(p: DyckPath) -> tuple:
+    """The inverse records one scanning ``inverse_step`` at a time: the
+    oracle for the spine ``inverse_trace`` carries."""
+    records = []
+    while p.size > 1:
+        records.append(inverse_step(p))
+        p = records[-1].path_after
+    return tuple(records)
+
+
 def measured_inverse_entries(steps: str) -> list[int]:
     """The unwinding with the elevation scanned on the word at every step
     instead of read off a carried left spine: the oracle for the spine."""
@@ -143,13 +166,18 @@ def test_random_member(entries):
         k = record.position - 1
         path, stepped = forward_step(path, AscentSequence(entries[:k]), entries[k])
         assert stepped == record
-    assert inverse_trace(p).sequence == s
+    trace = inverse_trace(p)
+    assert trace.sequence == s
+    assert trace.records == stepped_trace(p)
+    assert _degree_of_elevation(p.steps) == scanned_degree_of_elevation(p.steps)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_carried_degree_matches_the_measured_one_at_2000_entries(seed):
     entries = draw_member(random.Random(SEED + seed), 2000)
-    assert forward(AscentSequence(entries)).steps == measured_forward(entries)
+    steps = forward(AscentSequence(entries)).steps
+    assert steps == measured_forward(entries)
+    assert _degree_of_elevation(steps) == scanned_degree_of_elevation(steps)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -175,6 +203,19 @@ def test_carried_spine_equals_a_rebuilt_one_after_every_step(n):
             assert spine == spine_by_definition(steps), steps
             assert (spine[-1][0] == len(steps)) == _is_elevated_steps(steps), steps
         assert spine == [[2, None]]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_valley_hops_match_the_step_scan_on_every_path(n):
+    for steps in _iter_dyck_steps(n):
+        assert _degree_of_elevation(steps) == scanned_degree_of_elevation(steps), steps
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_trace_carries_the_spine_to_the_scanning_records_on_every_path(n):
+    for steps in _iter_dyck_steps(n):
+        p = DyckPath(steps)
+        assert inverse_trace(p).records == stepped_trace(p), steps
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -205,3 +246,7 @@ def test_uniform_path(steps):
     assert seq.ascents == path.valleys
     assert seq.descents == path.duu_count
     assert seq.eq_run_before_last_nonzero == path.degree_of_elevation
+    for lift in range(4):
+        # lifted, the lowest valley is above ground and every valley is read
+        lifted = "U" * lift + steps + "D" * lift
+        assert _degree_of_elevation(lifted) == scanned_degree_of_elevation(lifted)
