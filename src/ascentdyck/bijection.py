@@ -87,6 +87,7 @@ from collections.abc import Iterator
 
 from ._record import _Record
 from .errors import (
+    CapExceeded,
     EntryNotAllowed,
     InputError,
     InternalInvariant,
@@ -132,6 +133,7 @@ class RepeatPrevious:
 
 
 REPEAT_PREVIOUS = RepeatPrevious()
+_TRACE_LIMIT = 2000  # a trace holds Θ(n²) characters: every record, its path
 
 
 # -- step records and traces -------------------------------------------------
@@ -342,8 +344,10 @@ def forward(seq: AscentSequence) -> DyckPath:
 
 
 def forward_trace(seq: AscentSequence) -> ForwardTrace:
-    """Like :func:`forward` but keeping every step record."""
+    """Like :func:`forward` but keeping every step record, for at most 2,000 entries."""
     entries = _entries_of(seq)
+    if len(entries) > _TRACE_LIMIT:
+        raise CapExceeded(f"a trace of {len(entries)} entries is past the limit of {_TRACE_LIMIT}")
     _require_021(entries)
     initial = path = DyckPath("UD")
     records = []
@@ -529,9 +533,11 @@ def inverse(P: DyckPath) -> AscentSequence:
 
 
 def inverse_trace(P: DyckPath) -> InverseTrace:
-    """Like :func:`inverse` but keeping every step record; the resolved
-    sequence is available as ``trace.sequence``."""
+    """Like :func:`inverse` but keeping every step record, for sizes up to
+    2,000; the resolved sequence is available as ``trace.sequence``."""
     steps = _steps_of(P)
+    if len(steps) > 2 * _TRACE_LIMIT:
+        raise CapExceeded(f"a trace of size {len(steps) // 2} is past the limit of {_TRACE_LIMIT}")
     spine = _left_spine(steps)
     records = []
     while len(steps) > 2:

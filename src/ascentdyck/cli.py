@@ -41,6 +41,7 @@ from .sequences import (
 from .verify import (
     DEFAULT_CAP,
     EXTENDED_CAP,
+    _Sweep,
     check_bijectivity,
     check_characterization,
     check_counts,
@@ -124,8 +125,8 @@ def _cmd_map(args) -> int:
 def _cmd_unmap(args) -> int:
     p = parse_path(_read_operand(args.path))
     if args.trace:
-        print(f"start {p}")
         trace = inverse_trace(p)
+        print(f"start {p}")
         for rec in trace.records:
             emitted = "repeat" if rec.case_id == 2 else str(rec.emitted)
             extra = ""
@@ -210,6 +211,7 @@ def _cmd_verify(args) -> int:
             raise InputError(
                 f"unknown check {name!r}; choose from {','.join(_CHECKS)}"
             )
+    sweep = _Sweep(names)  # one walk for the checks that share it
     reports = []
     for name in names:
         if name == "characterization":
@@ -217,7 +219,8 @@ def _cmd_verify(args) -> int:
             # size: the benchmark's recorded report digests pin this sweep
             report = _CHECKS[name](min(args.n, 10), 6)
         else:
-            report = _CHECKS[name](args.n, cap=cap)
+            shared = {"_sweep": sweep} if name in sweep.names else {}
+            report = _CHECKS[name](args.n, cap=cap, **shared)
         reports.append(report)
         if not args.json:
             print(report.summary())

@@ -11,7 +11,6 @@ from; they are useful on their own and tested independently.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import accumulate
 
 from ._record import _Record
 from .errors import (
@@ -38,7 +37,9 @@ DOWN = "D"
 _PAREN_TO_STEP = str.maketrans("()", "UD")
 _STEP_TO_PAREN = str.maketrans("UD", "()")
 _STEP_TO_BIT = str.maketrans("UD", "01")
-_STEP_HEIGHT = {UP: 1, DOWN: -1}
+# per 8-step chunk (U as bit 0): the lowest start height it needs, and its rise
+_CHUNK_NEED = [max(0, *(2 * (c >> k).bit_count() + k - 8 for k in range(8))) for c in range(256)]
+_CHUNK_NET = [8 - 2 * c.bit_count() for c in range(256)]
 
 
 def _validate_steps(steps: str) -> None:
@@ -61,12 +62,17 @@ def _validate_steps(steps: str) -> None:
 
 
 def _is_valid_steps(steps: str) -> bool:
-    # C-level validity test for hot sweeps: half the steps are U and half
-    # are D, so there is no other character, and no prefix dips below 0
+    # fast validity test for hot sweeps: as many U as D and nothing else (int()
+    # takes _, signs, spaces), then no dip below 0, 8 steps at a time padded with U
     n2 = len(steps)
     if n2 == 0 or n2 % 2 or steps.count(UP) * 2 != n2 or steps.count(DOWN) * 2 != n2:
         return False
-    return min(accumulate(map(_STEP_HEIGHT.__getitem__, steps))) >= 0
+    height = 0
+    for c in (int(steps.translate(_STEP_TO_BIT), 2) << -n2 % 8).to_bytes((n2 + 7) // 8, "big"):
+        if height < _CHUNK_NEED[c]:
+            return False
+        height += _CHUNK_NET[c]
+    return True
 
 
 class DyckPath(_Record):

@@ -3,8 +3,9 @@
 Both families are finite at every size, so nothing here is sampled: the
 checks sweep every object up to a size cap (12 by default, 14 in
 extended mode) and report every witness of a violation.  All checks are
-deterministic and idempotent; each one owns an independent sweep so they
-can be run, repeated, or split in any order.
+deterministic and idempotent.  Called alone, each one owns an independent
+sweep, so they can be run, repeated, or split in any order; the command
+line's ``verify`` runs four of them over one shared walk (``_Sweep``).
 """
 
 from __future__ import annotations
@@ -143,18 +144,18 @@ class _Witnesses:
         )
 
 
-def _fold_family(n: int, visit) -> int:
+def _fold_family(n: int, visit, step=None) -> int:
     """Depth-first over every 021-avoiding entry tuple of length n with the
     image path folded alongside; calls visit(entries_buffer, path) at every
     leaf and returns the leaf count.  The buffer is reused in place."""
     leaves = 0
-    for buf, path in _walk_021(n, _forward_step_core):
+    for buf, path in _walk_021(n, step or _forward_step_core):
         leaves += 1
         visit(buf, path)
     return leaves
 
 
-def _coverage(n: int, bad: _Witnesses):
+def _coverage(n: int, *bads: _Witnesses):
     """Bookkeeping for "the fold images are valid, distinct and Catalan(n)
     in number": returns (file, close).  ``file(buf, path)`` files one
     image in a bitmap over all 2n-step words; ``close()`` witnesses a
@@ -163,15 +164,19 @@ def _coverage(n: int, bad: _Witnesses):
     seen = bytearray(1 if n < 2 else 1 << (2 * n - 3))
     distinct = 0
 
+    def witness(kind, text, detail):
+        for bad in bads:
+            bad.add(kind, text, detail)
+
     def file(buf, path):
         nonlocal distinct
         if len(path) != 2 * n or not _is_valid_steps(path):
-            bad.add("invalid-image", ",".join(map(str, buf)), f"image {path}")
+            witness("invalid-image", ",".join(map(str, buf)), f"image {path}")
             return
         code = int(path.translate(_STEP_TO_BIT), 2)
         byte, bit = code >> 3, 1 << (code & 7)
         if seen[byte] & bit:
-            bad.add("duplicate-image", ",".join(map(str, buf)), f"image {path}")
+            witness("duplicate-image", ",".join(map(str, buf)), f"image {path}")
         else:
             seen[byte] |= bit
             distinct += 1
@@ -179,11 +184,120 @@ def _coverage(n: int, bad: _Witnesses):
     def close() -> int:
         expected = catalan(n)
         if distinct != expected:
-            bad.add("coverage", str(n),
-                    f"{distinct} distinct images, expected {expected}")
+            witness("coverage", str(n), f"{distinct} distinct images, expected {expected}")
         return distinct
 
     return file, close
+
+
+class _Sweep:
+    """One family walk, run by the first ``_fused`` call, doing the per-edge
+    and per-leaf work of the requested ones of roundtrip, bijectivity,
+    invariants and statistics.  Each gets what its own walk gives it:
+    invariants skips the subtree under a failing edge, and an exception ends
+    each check that meets it, to be re-raised for it, where invariants keeps
+    an ``InternalInvariant`` as a witness."""
+
+    def __init__(self, names):
+        self.names = set(names) & {"roundtrip", "bijectivity", "invariants", "statistics"}
+        self.errors = None
+
+    def run(self, n: int) -> None:
+        want = self.names
+        bad = self.bad = {name: _Witnesses() for name in want}
+        errors = self.errors = {}
+        inv = "invariants" in want
+        filers = [bad[k] for k in ("roundtrip", "bijectivity") if k in want]
+        file, close = _coverage(n, *filers) if filers else (None, None)
+        ok = self.ok = "statistics" in want and dict.fromkeys(_STAT_NAMES, True)
+        cut = n + 1  # invariants skips the edges from sizes >= cut
+        inv_leaves, buf = 0, [0] * n
+        # read as the walk starts, as _inverse_entries reads it: one core
+        inverse_core = "roundtrip" in want and bijection._inverse_step_core
+
+        def end(exc, *names):
+            errors.update({name: exc for name in names if name not in errors})
+            if errors.keys() >= want:
+                raise exc
+
+        def step(path, v, state):
+            # edges come in walk order: buf[:i] and state[2] are the parent's
+            nonlocal cut
+            i = len(path) // 2
+            buf[i] = v
+            checking = inv and i < cut
+            if checking:
+                cut = n + 1
+            stepped = None
+            try:
+                stepped = _forward_step_core(path, v, state)
+                if checking:
+                    if stepped[1] == 4:
+                        _assert_carried_degree(path, state[3])
+                    _assert_classified_as(stepped[0], stepped[1])
+            except Exception as exc:
+                # met by every other check if the core raised, by invariants if checking
+                met = [] if stepped else ["roundtrip", "bijectivity", "statistics"]
+                if checking and isinstance(exc, InternalInvariant):
+                    bad["invariants"].add("step-invariant", ",".join(map(str, buf[: i + 1])),
+                                          str(exc))
+                    cut = i + 1
+                elif checking:
+                    met.append("invariants")
+                end(exc, *met)
+                if stepped is None or not want - errors.keys() - {"invariants"}:
+                    return None  # nothing else walks this subtree
+            if inverse_core:
+                child = stepped[0]
+                try:
+                    back, _, emitted, _, _ = inverse_core(child)
+                    if back != path or (state[2] if emitted is None else emitted) != v:
+                        came_back = ",".join(map(str, _inverse_entries(child)))
+                        bad["roundtrip"].add("sequence-roundtrip", ",".join(map(str, buf[: i + 1])),
+                                             f"via {child} came back as {came_back}")
+                except Exception as exc:
+                    end(exc, "roundtrip")
+            return stepped
+
+        def visit(leaf, path):
+            nonlocal inv_leaves
+            inv_leaves += cut > n
+            if file:
+                try:
+                    file(leaf, path)
+                except Exception as exc:
+                    end(exc, "roundtrip", "bijectivity")
+            if ok:
+                try:
+                    s = _sequence_stats_raw(leaf)
+                    a, b, c, d, e = _path_stats_raw(path)
+                    p = (a, b - 1, c, d, e)  # terminal zeros mirror the last ascent less one
+                    for idx in [k for k in range(5) if s[k] != p[k]] if s != p else ():
+                        ok[_STAT_NAMES[idx]] = False
+                        bad["statistics"].add("statistic", ",".join(map(str, leaf)),
+                                              f"{_STAT_NAMES[idx]}: {s[idx]} != {p[idx]} on {path}")
+                except Exception as exc:
+                    end(exc, "statistics")
+
+        try:
+            self.leaves = _fold_family(n, visit, step)
+        except Exception as exc:
+            errors.update(dict.fromkeys(want - errors.keys(), exc))
+        self.inv_leaves, self.distinct = inv_leaves, close() if file else 0
+
+
+def _fused(name: str, n: int, cap: int, sweep: _Sweep | None):
+    # the gate, then this check's witnesses (timed from here) and the sweep
+    t0 = time.perf_counter()
+    _require_size(n, cap)
+    sweep = sweep or _Sweep((name,))
+    if sweep.errors is None:
+        sweep.run(n)
+    if name in sweep.errors:
+        raise sweep.errors[name]
+    bad = _Witnesses()
+    bad.t0, bad.items, bad.total = t0, list(sweep.bad[name].items), sweep.bad[name].total
+    return bad, sweep
 
 
 def check_counts(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
@@ -200,7 +314,7 @@ def check_counts(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     return bad.report("counts", n, nseq, npath)
 
 
-def check_roundtrip(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
+def check_roundtrip(n: int, cap: int = DEFAULT_CAP, *, _sweep=None) -> VerifyReport:
     """inverse(forward(s)) = s over all sequences and
     forward(inverse(p)) = p over all paths.
 
@@ -225,74 +339,23 @@ def check_roundtrip(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     for some s, so forward(inverse(p)) = forward(s) = p by the sequence
     side.  Hence ``paths_checked`` counts the distinct valid images.
     """
-    _require_size(n, cap)
-    bad = _Witnesses()
-    file, close = _coverage(n, bad)
-    # read through the module as the check starts, as _inverse_entries
-    # reads it, so that the step checked and the detail text share a core
-    inverse_core = bijection._inverse_step_core
-    buf = [0] * n
-
-    def checked_step(path, v, state):
-        # edges arrive in walk order, so buf[:i] still holds the parent
-        # prefix, and state[2] its last entry, when the edge from size i
-        # is checked
-        i = len(path) // 2
-        buf[i] = v
-        stepped = _forward_step_core(path, v, state)
-        child = stepped[0]
-        back, _, emitted, _, _ = inverse_core(child)
-        if back != path or (state[2] if emitted is None else emitted) != v:
-            came_back = ",".join(map(str, _inverse_entries(child)))
-            bad.add("sequence-roundtrip", ",".join(map(str, buf[: i + 1])),
-                    f"via {child} came back as {came_back}")
-        return stepped
-
-    nseq = 0
-    for leaf, path in _walk_021(n, checked_step):
-        nseq += 1
-        file(leaf, path)
-    return bad.report("roundtrip", n, nseq, close())
+    bad, sweep = _fused("roundtrip", n, cap, _sweep)
+    return bad.report("roundtrip", n, sweep.leaves, sweep.distinct)
 
 
-def check_bijectivity(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
+def check_bijectivity(n: int, cap: int = DEFAULT_CAP, *, _sweep=None) -> VerifyReport:
     """The forward image is valid, duplicate-free, and by counting must
     therefore cover every path of the size."""
-    _require_size(n, cap)
-    bad = _Witnesses()
-    file, close = _coverage(n, bad)
-    nseq = _fold_family(n, file)
-    return bad.report("bijectivity", n, nseq, close())
+    bad, sweep = _fused("bijectivity", n, cap, _sweep)
+    return bad.report("bijectivity", n, sweep.leaves, sweep.distinct)
 
 
-def check_invariants(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
+def check_invariants(n: int, cap: int = DEFAULT_CAP, *, _sweep=None) -> VerifyReport:
     """Per-step structural guarantees of the forward construction (every
     edge leaves the shape the inverse classifies as the case it took, and
     every case-4 edge was handed the degree of elevation its parent word
     has), plus totality and mutual exclusivity of the inverse case split."""
-    _require_size(n, cap)
-    bad = _Witnesses()
-    buf = [0] * n
-
-    def checked_step(path, v, state):
-        # edges arrive in walk order, so buf[:i] still holds the parent
-        # prefix when the edge from size i is checked
-        i = len(path) // 2
-        buf[i] = v
-        try:
-            # the core itself asserts the menu/key-downstep length match
-            # and that the menu case never reaches a pyramid
-            stepped = _forward_step_core(path, v, state)
-            if stepped[1] == 4:
-                _assert_carried_degree(path, state[3])
-            _assert_classified_as(stepped[0], stepped[1])
-        except InternalInvariant as exc:
-            bad.add("step-invariant", ",".join(map(str, buf[: i + 1])), str(exc))
-            return None
-        return stepped
-
-    leaves = sum(1 for _ in _walk_021(n, checked_step))
-
+    bad, sweep = _fused("invariants", n, cap, _sweep)
     npath = 0
     if n >= 2:
         for steps in _iter_dyck_steps(n):
@@ -313,7 +376,7 @@ def check_invariants(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
                 bad.add("case-split", steps,
                         f"classified {_classify(steps)}, conditions say "
                         f"{truth.index(True) + 1}")
-    return bad.report("invariants", n, leaves, npath)
+    return bad.report("invariants", n, sweep.inv_leaves, npath)
 
 
 _STAT_NAMES = (
@@ -325,24 +388,11 @@ _STAT_NAMES = (
 )
 
 
-def check_statistics(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
+def check_statistics(n: int, cap: int = DEFAULT_CAP, *, _sweep=None) -> VerifyReport:
     """The five statistic equalities between each sequence and its image,
     including the all-zero/pyramid special cases."""
-    _require_size(n, cap)
-    bad = _Witnesses()
-    ok = [True] * 5
-
-    def visit(buf, path):
-        p = list(_path_stats_raw(path))
-        p[1] -= 1  # terminal zeros mirror the last ascent less one
-        for idx, (left, right) in enumerate(zip(_sequence_stats_raw(buf), p)):
-            if left != right:
-                ok[idx] = False
-                bad.add("statistic", ",".join(map(str, buf)),
-                        f"{_STAT_NAMES[idx]}: {left} != {right} on {path}")
-
-    nseq = _fold_family(n, visit)
-    return bad.report("statistics", n, nseq, nseq, dict(zip(_STAT_NAMES, ok)))
+    bad, sweep = _fused("statistics", n, cap, _sweep)
+    return bad.report("statistics", n, sweep.leaves, sweep.leaves, dict(sweep.ok))
 
 
 def check_characterization(max_len: int = 10, max_val: int | None = 6) -> VerifyReport:

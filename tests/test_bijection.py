@@ -1,8 +1,10 @@
+import random
 from itertools import islice
 
 import pytest
 
 from ascentdyck import (
+    CapExceeded,
     DyckPath,
     EntryNotAllowed,
     InputError,
@@ -33,6 +35,7 @@ from ascentdyck.paths import DOWN, _degree_of_elevation
 from ascentdyck.sequences import _prefix_state, _sequence_stats_raw, _walk_021
 
 from conftest import catalan_binomial
+from test_fuzz import draw_member
 
 WORKED_SEQUENCE = [0, 1, 0, 1, 2, 2, 0, 3]
 WORKED_PATH = "UDUUUDUDUUDDUDDD"
@@ -256,6 +259,32 @@ class TestInverseTrace:
         trace = inverse_trace(path)
         assert [r.case_id for r in trace.records] == [2, 2, 3]
         assert trace.sequence == validate_ascent_sequence([0, 1, 1, 1])
+
+
+class TestTraceLimit:
+    # every record holds its whole path, so traces stop at 2,000 entries
+    LIMIT = 2000
+
+    def test_at_the_limit(self):
+        s = validate_ascent_sequence(draw_member(random.Random(7), self.LIMIT))
+        trace = forward_trace(s)
+        assert len(trace.records) == self.LIMIT - 1
+        assert trace.final_path == forward(s)
+        assert inverse_trace(trace.final_path).sequence == s
+
+    def test_just_past_the_limit(self, monkeypatch):
+        from ascentdyck import bijection
+
+        def refused(*args):
+            raise AssertionError("a trace step ran past the limit")
+
+        monkeypatch.setattr(bijection, "_forward_record", refused)
+        monkeypatch.setattr(bijection, "_inverse_record", refused)
+        s = validate_ascent_sequence(draw_member(random.Random(7), self.LIMIT + 1))
+        with pytest.raises(CapExceeded, match="trace of 2001 entries is past the limit of 2000"):
+            forward_trace(s)
+        with pytest.raises(CapExceeded, match="trace of size 2001 is past the limit of 2000"):
+            inverse_trace(forward(s))
 
 
 class TestRoundTrip:

@@ -1,13 +1,20 @@
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from ascentdyck import cli, verify
 from ascentdyck.cli import main
+from ascentdyck.errors import CapExceeded, InputError
+
+from test_mutants import install
+from test_verify import no_sweep  # noqa: F401  (a fixture)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -189,6 +196,24 @@ class TestStats:
         assert code == 1
 
 
+class TestTraceLimit:
+    # past 2,000 entries a trace is refused before its first line
+    def test_map_trace_past_the_limit(self, capsys):
+        code, out, err = run_cli(capsys, "map", ",".join(["0"] * 2001), "--trace")
+        assert (code, out) == (1, "")
+        assert err == "error: a trace of 2001 entries is past the limit of 2000\n"
+
+    def test_unmap_trace_past_the_limit(self, capsys):
+        code, out, err = run_cli(capsys, "unmap", "U" * 2001 + "D" * 2001, "--trace")
+        assert (code, out) == (1, "")
+        assert err == "error: a trace of size 2001 is past the limit of 2000\n"
+
+    def test_unmap_trace_at_the_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "unmap", "U" * 2000 + "D" * 2000, "--trace")
+        assert code == 0
+        assert out.endswith("sequence " + ",".join(["0"] * 2000) + "\n")
+
+
 class TestVerify:
     def test_small_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "5")
@@ -237,6 +262,111 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "9", "--checks", "roundtrip,bogus")
         assert (code, out) == (1, "")
         assert err.startswith("error: unknown check 'bogus'")
+
+
+SIX = ("counts", "roundtrip", "bijectivity", "invariants", "statistics", "characterization")
+FUSED = SIX[1:5]
+SELECTIONS = [
+    ",".join(SIX),
+    *(",".join(c) for k in range(1, 5) for c in combinations(FUSED, k)),
+    ",".join(reversed(SIX)),
+    "roundtrip,roundtrip",
+]
+
+
+def standalone_reports(n, names):
+    # each check called alone, with the bounds the command line uses
+    return [verify.check_characterization(min(n, 10), 6) if name == "characterization"
+            else getattr(verify, "check_" + name)(n) for name in names]
+
+
+def timeless(blobs):
+    return [{k: v for k, v in blob.items() if k != "elapsed_seconds"} for blob in blobs]
+
+
+def verify_alone_and_shared(capsys, monkeypatch, *argv):
+    # the command line as it runs, and with every check run alone instead
+    shared = run_cli(capsys, "verify", *argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_Sweep", lambda names: verify._Sweep(()))
+        alone = run_cli(capsys, "verify", *argv)
+    return alone, shared
+
+
+def without_times(text):
+    return re.sub(r"elapsed=\d+\.\d+s", "elapsed=", text)
+
+
+class TestVerifySharedWalk:
+    # roundtrip, bijectivity, invariants and statistics share one walk on
+    # the command line; every output must read as if each ran alone
+
+    @pytest.mark.parametrize("n, checks", [(9, SELECTIONS[0]), (1, SELECTIONS[0]),
+                                           *((6, s) for s in SELECTIONS[1:])])
+    def test_json_matches_the_standalone_reports(self, capsys, n, checks):
+        code, out, _ = run_cli(capsys, "verify", str(n), "--checks", checks, "--json")
+        expected = standalone_reports(n, checks.split(","))
+        assert code == 0
+        assert timeless(json.loads(out)) == timeless(r.to_json() for r in expected)
+
+    @pytest.mark.parametrize("checks", [SELECTIONS[0], SELECTIONS[-2], SELECTIONS[-1],
+                                        "statistics,invariants"])
+    def test_text_matches_the_standalone_run(self, capsys, monkeypatch, checks):
+        alone, shared = verify_alone_and_shared(capsys, monkeypatch, "7", "--checks", checks)
+        assert shared[0] == alone[0] == 0
+        assert without_times(shared[1]) == without_times(alone[1])
+        assert shared[1].count("elapsed=") == len(checks.split(",")) > 0
+
+    @pytest.mark.parametrize("mutant", ["inv-case3-emits-one-more", "fwd-case3-refused",
+                                        "fwd-case4-moves-e-minus-1-upsteps"])
+    @pytest.mark.parametrize("argv", [(), ("--json",)])
+    def test_failures_and_exceptions_read_the_same(self, capsys, monkeypatch, mutant, argv):
+        # a failing check, and a check that raises part way through the run
+        install(monkeypatch, mutant)
+        alone, shared = verify_alone_and_shared(capsys, monkeypatch, "6", *argv)
+        assert shared[0] == alone[0] == 2
+        if argv and alone[1]:
+            assert timeless(json.loads(shared[1])) == timeless(json.loads(alone[1]))
+        else:
+            assert without_times(shared[1]) == without_times(alone[1])
+        assert shared[2] == alone[2]
+
+    @pytest.mark.parametrize("checks", SELECTIONS)
+    def test_each_requested_check_is_called_once_in_order(self, capsys, monkeypatch, checks):
+        calls = []
+
+        def spy(name, check):
+            def called(*args, **kwargs):
+                calls.append((name, kwargs.get("_sweep")))
+                return check(*args, **kwargs)
+
+            return called
+
+        for name, check in list(cli._CHECKS.items()):
+            monkeypatch.setitem(cli._CHECKS, name, spy(name, check))
+        assert run_cli(capsys, "verify", "4", "--checks", checks)[0] == 0
+        assert [name for name, _ in calls] == checks.split(",")
+        # the four share one sweep; counts and characterization get none
+        shared = [sweep for name, sweep in calls if name in FUSED]
+        assert all(sweep is not None and sweep is shared[0] for sweep in shared)
+        assert all(sweep is None for name, sweep in calls if name not in FUSED)
+
+    def test_the_sweep_starts_after_the_entry_gate(self, no_sweep):
+        sweep = verify._Sweep(FUSED)
+        for name in FUSED:
+            check = getattr(verify, "check_" + name)
+            with pytest.raises(InputError, match="size must be an int"):
+                check(3.0, _sweep=sweep)
+            with pytest.raises(CapExceeded):
+                check(20, cap=20, _sweep=sweep)
+        assert sweep.errors is None
+
+    @pytest.mark.parametrize("names", [FUSED, ("roundtrip",), ("bijectivity",),
+                                       ("invariants",), ("statistics",)])
+    def test_the_sweep_walks_through_the_verify_names(self, no_sweep, names):
+        # so that no_sweep refuses the shared walk as it refuses each alone
+        with pytest.raises(AssertionError, match="a sweep started"):
+            getattr(verify, "check_" + names[0])(3, _sweep=verify._Sweep(names))
 
 
 class TestByteIdentity:

@@ -1,0 +1,255 @@
+"""Single-rule mutants of the construction, run through the verify checks.
+
+Each mutant breaks one rule of ``_forward_step_core``,
+``_inverse_step_core``, ``sequences._grow`` or ``_classify``.  The table
+names the checks that catch it at size 8: the report fails, or the check
+raises.  Every mutant runs twice, once through each check alone and once
+through one shared sweep of all four (as ``verify`` on the command line
+runs them), and the two runs must give the same report, or raise the same
+exception, check by check.  So a rewrite that quietly weakens a check, or
+a shared walk that drifts from the standalone ones, fails here.
+"""
+
+import inspect
+import textwrap
+
+import pytest
+
+from ascentdyck import bijection, sequences, verify
+from ascentdyck.errors import InternalInvariant
+
+from conftest import catalan_binomial
+from test_verify import case1_drops_the_first_peak, case2_appends_a_peak, case3_emits_one_more
+
+FUSED = ("roundtrip", "bijectivity", "invariants", "statistics")
+CHECKS = {name: getattr(verify, "check_" + name) for name in FUSED}
+ALL = set(FUSED)
+N = 8
+
+# the namespaces the checks read each mutated function from
+HOLDERS = {
+    "_forward_step_core": [verify],
+    "_inverse_step_core": [bijection],
+    "_grow": [sequences],
+    "_classify": [bijection, verify],
+}
+
+
+def rewrite(old, new):
+    """A mutant maker: the function recompiled with the one occurrence of
+    ``old`` in its source replaced by ``new``, over a copy of its module's
+    namespace."""
+
+    def make(fn):
+        source = textwrap.dedent(inspect.getsource(fn))
+        assert source.count(old) == 1, old
+        namespace = dict(fn.__globals__)
+        code = compile("from __future__ import annotations\n" + source.replace(old, new),
+                       f"<mutant of {fn.__name__}>", "exec")
+        exec(code, namespace)
+        return namespace[fn.__name__]
+
+    return make
+
+
+def refuses_case3(core):
+    # a forward core whose case-3 edges raise, as its own assertions do
+    def broken(path, v, state):
+        stepped = core(path, v, state)
+        if stepped[1] == 3:
+            raise InternalInvariant("case 3 refused")
+        return stepped
+
+    return broken
+
+
+def last_word_has_no_d(core):
+    # the last edge writes x for D: n upsteps in 2n steps, and no path
+    def broken(path, v, state):
+        stepped = core(path, v, state)
+        last = len(path) == 2 * N - 2
+        return (stepped[0].replace("D", "x"), *stepped[1:]) if last else stepped
+
+    return broken
+
+
+def last_word_as_a_list(core):
+    # the last edge hands back its word as a list: each check meets its
+    # own exception on it, at the edge or at the leaf
+    def broken(path, v, state):
+        stepped = core(path, v, state)
+        return (list(stepped[0]), *stepped[1:]) if len(path) == 2 * N - 2 else stepped
+
+    return broken
+
+
+MUTANTS = {
+    # forward core
+    "fwd-case1-splices-at-the-first-peak": (
+        "_forward_step_core", rewrite('i = path.rfind("UD")', 'i = path.find("UD")'), ALL),
+    "fwd-case2-appends-a-peak": ("_forward_step_core", case2_appends_a_peak, ALL),
+    "fwd-case3-prepends-its-peak": (
+        "_forward_step_core", rewrite('return path + "UD", 3', 'return "UD" + path, 3'), ALL),
+    "fwd-case3-refused": ("_forward_step_core", refuses_case3, ALL),
+    "fwd-case4-menu-position-off-by-one": (
+        "_forward_step_core", rewrite("d0 = keys[u - lo]", "d0 = keys[u - lo - 1]"), ALL),
+    "fwd-case4-menu-from-the-wrong-end": (
+        "_forward_step_core", rewrite("d0 = keys[u - lo]", "d0 = keys[lo - u - 1]"), ALL),
+    "fwd-case4-menu-low-off-by-one": (
+        "_forward_step_core",
+        rewrite("lo = _menu_low(m, last)", "lo = _menu_low(m, last) + 1"), ALL),
+    "fwd-case4-moves-e-minus-1-upsteps": (
+        "_forward_step_core",
+        rewrite("new = new[e:u0] + UP * e", "new = new[e - 1:u0] + UP * (e - 1)"), ALL),
+    "fwd-last-word-has-no-d": ("_forward_step_core", last_word_has_no_d, ALL),
+    "fwd-last-word-as-a-list": ("_forward_step_core", last_word_as_a_list, ALL),
+    # only the trace records read the extras, and the trace tests check them
+    "fwd-case4-extras-off-by-one": (
+        "_forward_step_core", rewrite("(u - lo + 1, e)", "(u - lo, e)"), set()),
+    # inverse core
+    "inv-case1-drops-the-first-peak": ("_inverse_step_core", case1_drops_the_first_peak,
+                                       {"roundtrip"}),
+    "inv-case2-emits-zero": (
+        "_inverse_step_core",
+        rewrite("return steps[1:-1], 2, None", "return steps[1:-1], 2, 0"), {"roundtrip"}),
+    "inv-case3-emits-one-more": ("_inverse_step_core", case3_emits_one_more, {"roundtrip"}),
+    "inv-case4-rank-off-by-one": (
+        "_inverse_step_core",
+        rewrite("rank = len(keys) - keys.index(mark0)",
+                "rank = len(keys) - keys.index(mark0) + 1"), {"roundtrip"}),
+    # raises: the mark is no key downstep of the result
+    "inv-case4-marks-one-step-left": (
+        "_inverse_step_core", rewrite("mark0 = r\n", "mark0 = r - 1\n"), {"roundtrip"}),
+    # equivalent in the word: a word starts with U, so the front gets the
+    # same upsteps; only the spine that unmap carries would differ
+    "inv-case4-stops-one-step-early": (
+        "_inverse_step_core",
+        rewrite("while c0 and shorter", "while c0 > 1 and shorter"), set()),
+    # prefix state
+    "grow-drops-the-e-update": (
+        "_grow", rewrite("e = e + 1 if v == last else 0", "pass"), ALL),
+    "grow-repeat-keeps-e": (
+        "_grow", rewrite("e = e + 1 if v == last else 0", "e = e if v == last else 0"), ALL),
+    "grow-repeat-counts-as-an-ascent": ("_grow", rewrite("if last < v:", "if last <= v:"), ALL),
+    "grow-drops-the-max-update": ("_grow", rewrite("if m < v:", "if False:"), ALL),
+    # classifier: UUDD read as elevated unwinds to the same parent and entry
+    "classify-long-ascent-from-3-steps": (
+        "_classify", rewrite("if r >= 1 and", "if r >= 2 and"), {"invariants"}),
+    "classify-peak-read-as-case-1": (
+        "_classify", rewrite("return 3", "return 1"), {"roundtrip", "invariants"}),
+    "classify-peak-needs-a-long-ascent": (
+        "_classify", rewrite('endswith("UD")', 'endswith("UUD")'), {"roundtrip", "invariants"}),
+}
+
+
+def outcome(check, n, **kwargs):
+    """A check's report without its time, or the exception it raised."""
+    try:
+        r = check(n, **kwargs)
+    except Exception as exc:  # any exception is an outcome
+        return exc
+    return (r.check, r.n, r.sequences_checked, r.paths_checked, r.failures,
+            r.failures_total, r.equidistribution)
+
+
+def caught(result) -> bool:
+    return isinstance(result, Exception) or bool(result[4])
+
+
+def install(monkeypatch, mutant_id):
+    target, make, _ = MUTANTS[mutant_id]
+    mutant = make(getattr(HOLDERS[target][0], target))
+    for holder in HOLDERS[target]:
+        monkeypatch.setattr(holder, target, mutant)
+
+
+def standalone_and_shared(n):
+    alone = {name: outcome(CHECKS[name], n) for name in FUSED}
+    sweep = verify._Sweep(FUSED)
+    shared = {name: outcome(CHECKS[name], n, _sweep=sweep) for name in FUSED}
+    return alone, shared
+
+
+@pytest.mark.parametrize("mutant_id", MUTANTS)
+def test_mutant_is_caught_by_exactly_its_checks(monkeypatch, mutant_id):
+    install(monkeypatch, mutant_id)
+    alone, shared = standalone_and_shared(N)
+    for name in FUSED:
+        a, b = alone[name], shared[name]
+        if isinstance(a, Exception):
+            assert (type(b), str(b)) == (type(a), str(a)), name
+        else:
+            assert b == a, name
+    assert {name for name in FUSED if caught(alone[name])} == MUTANTS[mutant_id][2]
+
+
+def test_unmutated_checks_pass_both_ways():
+    alone, shared = standalone_and_shared(N)
+    assert alone == shared
+    assert not any(caught(r) for r in alone.values())
+
+
+def test_invariants_prune_while_the_others_walk_on(monkeypatch):
+    # every check fails here without raising; only invariants skips the
+    # subtrees under its failing edges, in the shared walk as alone
+    install(monkeypatch, "fwd-case4-moves-e-minus-1-upsteps")
+    alone, shared = standalone_and_shared(N)
+    assert alone == shared
+    assert shared["invariants"][2] < catalan_binomial(N)
+    assert all(shared[name][2] == catalan_binomial(N)
+               for name in ("roundtrip", "bijectivity", "statistics"))
+
+
+def test_invariants_alone_walks_no_subtree_under_a_failing_edge(monkeypatch):
+    # every case-2 edge fails; alone, invariants runs the forward core only
+    # on the edges above none of them
+    install(monkeypatch, "fwd-case2-appends-a-peak")
+    core, calls = verify._forward_step_core, []
+    monkeypatch.setattr(verify, "_forward_step_core",
+                        lambda path, v, state: calls.append(v) or core(path, v, state))
+    assert not verify.check_invariants(N).passed
+
+    def repeats(s):
+        return [j for j in range(1, len(s)) if s[j] and s[j] == s[j - 1]]
+
+    edges = [s for k in range(2, N + 1) for s in map(tuple, sequences._iter_021_entries(k))
+             if all(j == k - 1 for j in repeats(s))]
+    assert len(calls) == len(edges) < sum(catalan_binomial(k) for k in range(2, N + 1))
+
+
+def test_a_forward_core_exception_is_an_invariants_witness(monkeypatch):
+    # the other three checks meet it on their walk and re-raise the very
+    # exception the shared walk met
+    install(monkeypatch, "fwd-case3-refused")
+    _, shared = standalone_and_shared(N)
+    raised = [shared[name] for name in ("roundtrip", "bijectivity", "statistics")]
+    assert isinstance(raised[0], InternalInvariant)
+    assert raised[1] is raised[0] and raised[2] is raised[0]
+    assert {f.detail for f in shared["invariants"][4]} == {"case 3 refused"}
+
+
+def test_an_inverse_core_exception_ends_only_roundtrip(monkeypatch):
+    install(monkeypatch, "inv-case4-marks-one-step-left")
+    _, shared = standalone_and_shared(N)
+    assert isinstance(shared["roundtrip"], InternalInvariant)
+    assert all(not caught(shared[name]) for name in ("bijectivity", "invariants", "statistics"))
+
+
+@pytest.mark.parametrize("name, met", [("_is_valid_steps", {"roundtrip", "bijectivity"}),
+                                       ("_path_stats_raw", {"statistics"})])
+def test_a_leaf_exception_ends_only_the_checks_that_meet_it(monkeypatch, name, met):
+    # the coverage filing and the statistics comparison at one leaf raise
+    original = getattr(verify, name)
+
+    def raises_once(steps):
+        if steps == "UDUUDDUUUDDDUD":
+            raise ValueError(f"{name} refused")
+        return original(steps)
+
+    monkeypatch.setattr(verify, name, raises_once)
+    alone, shared = standalone_and_shared(7)
+    for k in FUSED:
+        if k in met:
+            assert isinstance(alone[k], ValueError) and str(shared[k]) == str(alone[k]), k
+        else:
+            assert shared[k] == alone[k] and not caught(shared[k]), k

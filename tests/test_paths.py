@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from ascentdyck import (
@@ -39,9 +42,10 @@ from ascentdyck import (
     valley_count,
     vertex_height,
 )
-from ascentdyck.paths import DOWN, UP, _is_valid_steps
+from ascentdyck.paths import DOWN, UP, _is_valid_steps, _validate_steps
 
 from conftest import all_dyck_words, catalan_binomial, stack_matching
+from test_fuzz import draw_path
 
 
 class TestParse:
@@ -90,6 +94,32 @@ class TestParse:
     def test_fast_validity_test(self, steps, valid):
         # half the steps U is not enough: the other half must be D
         assert _is_valid_steps(steps) is valid
+
+    def test_fast_validity_test_agrees_with_the_validator(self):
+        def validates(steps):
+            try:
+                _validate_steps(steps)
+            except InputError:
+                return False
+            return True
+
+        words = ["".join(w) for k in range(11) for w in product("UDx", repeat=k)]
+        rng = random.Random(11)
+        for size in (11, 14, 4000):
+            for _ in range(40):
+                valid = draw_path(rng, size)
+                k = rng.randrange(2 * size)
+                words += [
+                    valid,
+                    "".join(rng.choice("UD") for _ in range(2 * size)),
+                    valid[:k] + ("D" if valid[k] == "U" else "U") + valid[k + 1:],
+                    valid[:k] + valid[k + 1:] + "D",
+                    # characters int() would take in a step word's bits
+                    valid[:k] + rng.choice("_ +-01") + valid[k + 1:],
+                ]
+        assert len(words) > 88_000
+        for steps in words:
+            assert _is_valid_steps(steps) is validates(steps), steps
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_text_roundtrip(self, n):

@@ -154,6 +154,16 @@ def case1_drops_the_first_peak(core):
     return broken
 
 
+def case2_appends_a_peak(core):
+    # a forward core that appends a peak for a repeated entry but still
+    # labels the step case 2
+    def mislabelled(path, v, state):
+        stepped = core(path, v, state)
+        return (path + "UD", 2, None) if stepped[1] == 2 else stepped
+
+    return mislabelled
+
+
 class TestCatalan:
     def test_listed_values(self):
         assert [catalan(n) for n in range(1, 13)] == KNOWN_CATALAN
@@ -255,12 +265,7 @@ class TestChecks:
         # only reading the shape back as a case catches it
         from ascentdyck import bijection, verify
 
-        core = verify._forward_step_core
-
-        def mislabelled(path, v, state):
-            stepped = core(path, v, state)
-            return (path + "UD", 2, None) if stepped[1] == 2 else stepped
-
+        mislabelled = case2_appends_a_peak(verify._forward_step_core)
         monkeypatch.setattr(verify, "_forward_step_core", mislabelled)
         report = check_invariants(4)
         assert [f.witness for f in report.failures] == ["0,0,1,1", "0,1,1", "0,1,2,2"]
