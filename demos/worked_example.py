@@ -14,7 +14,7 @@ from ascentdyck import (
 
 CASE_NAMES = {
     1: "zero entry: widen the last peak",
-    2: "repeated entry: elevate the whole path",
+    2: "repeated entry: raise the whole path by one",
     3: "new maximum: append a peak at ground level",
     4: "menu entry: open a peak on a key downstep",
 }

@@ -6,7 +6,7 @@ entry, choosing among four moves:
 
   case 1  entry 0: splice a peak into the last peak's vertex, leaving a
           long last ascent (only this move does);
-  case 2  entry repeats the previous nonzero entry: elevate the path;
+  case 2  entry repeats the previous nonzero entry: raise the path by one;
   case 3  entry is one more than the ascents so far: append a peak at
           ground level;
   case 4  any other entry: it sits in the menu of allowable nonzero

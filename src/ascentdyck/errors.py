@@ -4,9 +4,9 @@ Input problems subclass :class:`InputError` (a ``ValueError``); conditions
 that can only arise from a bug in the library itself subclass
 :class:`InternalInvariant` (a ``RuntimeError``).  Errors that point at a
 single offending element carry its 1-based position.  ``_require_type``
-is the one type check that public arguments share: sizes, indices,
-vertices and counts through ``_require_int``, and the sequences, paths
-and step references handed to the public functions.
+is the one type check that public arguments share: sizes, caps, bounds
+and step indices through ``_require_int``, and the sequences and paths
+handed to the public functions.
 """
 
 
@@ -95,20 +95,8 @@ class WrongKind(InputError):
     pass
 
 
-class NotElevated(InputError):
-    pass
-
-
 class TooSmall(InputError):
     pass
-
-
-class NotEnoughUpsteps(InputError):
-    pass
-
-
-class ResultInvalid(InternalInvariant):
-    """An edit produced an invalid path; the construction never does this."""
 
 
 # -- shared --------------------------------------------------------------
@@ -123,9 +111,8 @@ class CapExceeded(InputError):
 
 
 def _require_type(value, cls: type, what: str) -> None:
-    # exactly cls: a bool, float or digit string is no size, index, vertex
-    # or count, and a list, str or int is no sequence, path or step
-    # reference
+    # exactly cls: a bool, float or digit string is no size, cap, bound or
+    # index, and a list or str is no sequence or path
     if type(value) is not cls:
         article = "an" if cls.__name__[0] in "AEIOUaeiou" else "a"
         raise InputError(

@@ -1,11 +1,10 @@
-"""Dyck paths: structural probes, surgical edits, enumeration, rendering.
+"""Dyck paths: validation, structural probes, enumeration, rendering.
 
 A path is stored as its step word over ``U``/``D``.  Steps are 1-based in
-every public index; vertices (lattice points) run 0..2n, vertex k being
-the point reached after k steps.  The probes (matching, returns, degree
-of elevation, key downsteps) and the edits (peak insertion/deletion,
-elevation, upstep transfer) are exactly the moves the bijection is built
-from; they are useful on their own and tested independently.
+every public index.  The probes (elevation, degree of elevation, key
+downsteps, the statistics) are what the bijection reads off a word; the
+moves it makes are slices of the word inside its step cores, in
+:mod:`ascentdyck.bijection`.
 """
 
 from __future__ import annotations
@@ -15,16 +14,13 @@ from collections.abc import Iterator
 from ._record import _Record
 from .errors import (
     BadCharacter,
+    CapExceeded,
     DipsBelowGround,
     EmptyInput,
     IndexOutOfRange,
     InputError,
     InternalInvariant,
-    NotElevated,
-    NotEnoughUpsteps,
-    ResultInvalid,
     SizeZero,
-    TooSmall,
     Unbalanced,
     WrongKind,
     _require_int,
@@ -40,6 +36,7 @@ _STEP_TO_BIT = str.maketrans("UD", "01")
 # per 8-step chunk (U as bit 0): the lowest start height it needs, and its rise
 _CHUNK_NEED = [max(0, *(2 * (c >> k).bit_count() + k - 8 for k in range(8))) for c in range(256)]
 _CHUNK_NET = [8 - 2 * c.bit_count() for c in range(256)]
+_RENDER_LIMIT = 8_000_000  # grid cells, steps × height: the size-2,000 pyramid
 
 
 def _validate_steps(steps: str) -> None:
@@ -143,32 +140,6 @@ def parse_path(text: str) -> DyckPath:
     return DyckPath(text.translate(_PAREN_TO_STEP))
 
 
-def _check_ref(steps: str, ref: StepRef, want: str) -> int:
-    # shared StepRef screening; returns the 0-based offset
-    _require_type(ref, StepRef, "step reference")
-    if not 1 <= ref.index <= len(steps):
-        raise IndexOutOfRange(
-            f"step index {ref.index} out of range 1..{len(steps)}"
-        )
-    actual = steps[ref.index - 1]
-    if ref.kind != actual:
-        raise WrongKind(
-            f"step {ref.index} is {actual!r}, reference says {ref.kind!r}"
-        )
-    if actual != want:
-        raise WrongKind(f"step {ref.index} is {actual!r}, need {want!r}")
-    return ref.index - 1
-
-
-def vertex_height(p: DyckPath, v: int) -> int:
-    """Height above ground of vertex v, 0 <= v <= 2n."""
-    s = _steps_of(p)
-    _require_int(v, "vertex")
-    if not 0 <= v <= len(s):
-        raise IndexOutOfRange(f"vertex {v} out of range 0..{len(s)}")
-    return 2 * s.count(UP, 0, v) - v
-
-
 def first_descent_length(p: DyckPath) -> int:
     s = _steps_of(p)
     i = s.find(DOWN)
@@ -190,17 +161,6 @@ def valley_count(p: DyckPath) -> int:
 def duu_count(p: DyckPath) -> int:
     """Number of DUU factors."""
     return _steps_of(p).count("DUU")
-
-
-def peak_positions(p: DyckPath) -> list[int]:
-    """Vertex indices of the peaks (the point between each UD factor)."""
-    s = _steps_of(p)
-    return [i + 1 for i in range(len(s) - 1) if s[i] == UP and s[i + 1] == DOWN]
-
-
-def is_pyramid(p: DyckPath) -> bool:
-    # a Dyck path with no valley is all upsteps then all downsteps
-    return "DU" not in _steps_of(p)
 
 
 def _is_elevated_steps(steps: str) -> bool:
@@ -256,33 +216,6 @@ def _match_down(steps: str, d0: int) -> int:
     raise InternalInvariant("downstep without a matching upstep")
 
 
-def _match_up(steps: str, u0: int) -> int:
-    bal = 1
-    for k in range(u0 + 1, len(steps)):
-        bal += 1 if steps[k] == UP else -1
-        if bal == 0:
-            return k
-    raise InternalInvariant("upstep without a matching downstep")
-
-
-def match_of_downstep(p: DyckPath, d: StepRef) -> StepRef:
-    """The upstep opening the shortest balanced subword this downstep
-    closes.  Inverse of :func:`match_of_upstep`."""
-    s = _steps_of(p)
-    return StepRef(_match_down(s, _check_ref(s, d, DOWN)) + 1, UP)
-
-
-def match_of_upstep(p: DyckPath, u: StepRef) -> StepRef:
-    s = _steps_of(p)
-    return StepRef(_match_up(s, _check_ref(s, u, UP)) + 1, DOWN)
-
-
-def terminal_descent(p: DyckPath) -> range:
-    """1-based step indices of the maximal downstep run ending the path."""
-    s = _steps_of(p)
-    return range(s.rfind(UP) + 2, len(s) + 1)
-
-
 def _terminal_matches(steps: str) -> tuple[int, list[int]]:
     # matches of every terminal-descent downstep in one leftward pass:
     # the j-th terminal downstep (j = 1, 2, ...) matches the first point,
@@ -316,93 +249,6 @@ def key_downsteps(p: DyckPath) -> list[StepRef]:
     """Downsteps on the terminal descent whose matching upstep is the
     middle U of a DUU factor, in left-to-right order."""
     return [StepRef(d0 + 1, DOWN) for d0 in _key_downsteps(_steps_of(p))]
-
-
-# -- edits -----------------------------------------------------------------
-
-
-def insert_ud_at_vertex(p: DyckPath, v: int) -> DyckPath:
-    """Splice a new peak into the path at vertex v."""
-    s = _steps_of(p)
-    _require_int(v, "vertex")
-    if not 0 <= v <= len(s):
-        raise IndexOutOfRange(f"vertex {v} out of range 0..{len(s)}")
-    return DyckPath(s[:v] + "UD" + s[v:])
-
-
-def elevate(p: DyckPath) -> DyckPath:
-    """Raise the whole path by one: prepend an upstep, append a downstep."""
-    return DyckPath(UP + _steps_of(p) + DOWN)
-
-
-def lower(p: DyckPath) -> DyckPath:
-    """Drop the first and last steps; requires an elevated path of size >= 2
-    so that the result is again a Dyck path."""
-    s = _steps_of(p)
-    if len(s) < 4:
-        raise TooSmall("cannot lower a path of size 1")
-    if not _is_elevated_steps(s):
-        raise NotElevated("only elevated paths can be lowered")
-    return DyckPath(s[1:-1])
-
-
-def delete_last_peak(p: DyckPath) -> DyckPath:
-    """Remove the rightmost adjacent UD pair."""
-    s = _steps_of(p)
-    if len(s) < 4:
-        raise TooSmall("cannot delete the only peak")
-    i = s.rfind("UD")
-    return DyckPath(s[:i] + s[i + 2 :])
-
-
-def transfer_upsteps_from_front(p: DyckPath, count: int, to_ascent_of: StepRef) -> DyckPath:
-    """Move ``count`` upsteps from the very front of the path to just
-    before the referenced upstep.
-
-    The reference uses the indexing of ``p``; the referenced upstep sits
-    at the same index afterwards (count removed before it, count put
-    back).  Fails atomically with :class:`ResultInvalid` if the edited
-    word dips below ground, which the construction never lets happen.
-    """
-    s = _steps_of(p)
-    i0 = _check_ref(s, to_ascent_of, UP)
-    _require_int(count, "transfer count")
-    if count < 0:
-        raise InputError("transfer count must be nonnegative")
-    if count == 0:
-        return p
-    if i0 < count:
-        raise IndexOutOfRange(
-            "target upstep lies inside the transferred front segment"
-        )
-    if s[:count] != UP * count:
-        raise NotEnoughUpsteps(
-            f"path does not start with {count} upsteps"
-        )
-    edited = s[count:i0] + UP * count + s[i0:]
-    try:
-        return DyckPath(edited)
-    except InputError as exc:
-        raise ResultInvalid(f"transfer would produce an invalid path: {exc}") from exc
-
-
-def transfer_upsteps_to_front(p: DyckPath, count: int, before_up: StepRef) -> DyckPath:
-    """Exact inverse of :func:`transfer_upsteps_from_front`: move the
-    ``count`` upsteps immediately preceding the referenced upstep (within
-    its ascent) to the front of the path."""
-    s = _steps_of(p)
-    i0 = _check_ref(s, before_up, UP)
-    _require_int(count, "transfer count")
-    if count < 0:
-        raise InputError("transfer count must be nonnegative")
-    if count == 0:
-        return p
-    if i0 - count < 0 or s[i0 - count : i0] != UP * count:
-        raise NotEnoughUpsteps(
-            f"fewer than {count} upsteps precede step {before_up.index} in its ascent"
-        )
-    # moving upsteps to the front only raises the vertices they pass
-    return DyckPath(UP * count + s[: i0 - count] + s[i0:])
 
 
 # -- enumeration, statistics, rendering -------------------------------------
@@ -460,12 +306,19 @@ def render_ascii(p: DyckPath) -> str:
     """Draw the path on a character grid, one column per step: ``/`` for an
     upstep on the row of the height it rises to, ``\\`` for a downstep on
     the row of the height it falls from.  Rows are emitted top-down with
-    trailing spaces trimmed; the result ends with a newline."""
+    trailing spaces trimmed; the result ends with a newline.  A grid of
+    more than 8,000,000 cells (steps × height) raises
+    :class:`CapExceeded` before anything is drawn."""
     s = _steps_of(p)
     heights = [0]
     for c in s:
         heights.append(heights[-1] + (1 if c == UP else -1))
     top = max(heights)
+    if len(s) * top > _RENDER_LIMIT:
+        raise CapExceeded(
+            f"a drawing of {len(s)} steps by {top} rows is past the limit of "
+            f"{_RENDER_LIMIT:,} cells"
+        )
     rows = []
     for h in range(top, 0, -1):
         chars = []

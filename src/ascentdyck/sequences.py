@@ -263,8 +263,8 @@ def allowable_nonzero_values(prefix: AscentSequence) -> AllowableList:
 
     With a = ascents and m = max entry of the prefix, the menu is
     [max(m,1), a] after a zero entry and [m+1, a] after a nonzero one
-    (a nonzero last entry always equals m here).  Empty when the lower
-    bound exceeds a.  A prefix outside the family raises Not021Avoiding.
+    (a nonzero last entry always equals m here).  Empty when the least
+    value exceeds a.  A prefix outside the family raises Not021Avoiding.
     """
     return _allowable(_prefix_state(_entries_of(prefix)))
 
@@ -365,9 +365,7 @@ def _sequence_stats_raw(entries: Sequence[int]) -> tuple[int, int, int, int, int
     terminal = 0
     while entries[n - 1 - terminal] == 0:
         terminal += 1
-    k = n - 1
-    while entries[k] == 0:
-        k -= 1
+    k = n - 1 - terminal  # the last nonzero entry
     run = 0
     while k - 1 - run >= 0 and entries[k - 1 - run] == entries[k]:
         run += 1

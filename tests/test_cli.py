@@ -415,6 +415,12 @@ class TestRender:
         code, _, err = run_cli(capsys, "render", "UDD")
         assert code == 1
 
+    def test_past_the_limit(self, capsys):
+        code, out, err = run_cli(capsys, "render", "U" * 2000 + "D" * 2000 + "UD")
+        assert (code, out) == (1, "")
+        assert err == ("error: a drawing of 4002 steps by 2000 rows is past the limit "
+                       "of 8,000,000 cells\n")
+
 
 class TestHarness:
     def test_no_command(self, capsys):

@@ -7,7 +7,9 @@ raises.  Every mutant runs twice, once through each check alone and once
 through one shared sweep of all four (as ``verify`` on the command line
 runs them), and the two runs must give the same report, or raise the same
 exception, check by check.  So a rewrite that quietly weakens a check, or
-a shared walk that drifts from the standalone ones, fails here.
+a shared walk that drifts from the standalone ones, fails here.  A second
+table breaks the left-spine rules that only ``inverse`` and
+``inverse_trace`` read, and pins how those unwindings end.
 """
 
 import inspect
@@ -15,7 +17,7 @@ import textwrap
 
 import pytest
 
-from ascentdyck import bijection, sequences, verify
+from ascentdyck import DyckPath, bijection, inverse, inverse_trace, sequences, verify
 from ascentdyck.errors import InternalInvariant
 
 from conftest import catalan_binomial
@@ -103,7 +105,8 @@ MUTANTS = {
         rewrite("new = new[e:u0] + UP * e", "new = new[e - 1:u0] + UP * (e - 1)"), ALL),
     "fwd-last-word-has-no-d": ("_forward_step_core", last_word_has_no_d, ALL),
     "fwd-last-word-as-a-list": ("_forward_step_core", last_word_as_a_list, ALL),
-    # only the trace records read the extras, and the trace tests check them
+    # only the trace records read the extras: the trace tests and the
+    # oracle comparison in test_oracle.py check them
     "fwd-case4-extras-off-by-one": (
         "_forward_step_core", rewrite("(u - lo + 1, e)", "(u - lo, e)"), set()),
     # inverse core
@@ -253,3 +256,93 @@ def test_a_leaf_exception_ends_only_the_checks_that_meet_it(monkeypatch, name, m
             assert isinstance(alone[k], ValueError) and str(shared[k]) == str(alone[k]), k
         else:
             assert shared[k] == alone[k] and not caught(shared[k]), k
+
+
+# Single-rule mutants of the left spine, which only ``inverse`` and
+# ``inverse_trace`` carry (see the ``bijection`` module docstring): of
+# ``_left_spine``, which builds it, and of each update ``_inverse_step_core``
+# makes to it.  The verify sweeps scan for the elevation instead, so only
+# the unwindings can catch these: by the carried-spine end check
+# (``InternalInvariant``) or by a wrong sequence ("wrong").  The table pins
+# how the unwindings of every member of size <= 8 end, for ``inverse`` and
+# for ``inverse_trace``: "ok", "wrong" or the exception raised.  A drifted
+# spine can read a word as elevated that is not; case 2 then leaves a word
+# that is no Dyck path, and case 1 on a word without a UD factor nearly
+# doubles it, so a guard stops any step that does not take the word down
+# by one size ("Runaway") before it can grow without bound.
+II = "InternalInvariant"
+SPINE_MUTANTS = {
+    "spine-build-end-one-short": (
+        "_left_spine", rewrite("returns[bal] = (k + 1, lowest)", "returns[bal] = (k, lowest)"),
+        {II}, {II}),
+    "spine-build-ends-not-lowered": (
+        "_left_spine", rewrite("[end - b, None", "[end, None"), {II, "ok"}, {II, "ok"}),
+    "spine-build-lows-not-lowered": (
+        "_left_spine", rewrite("else low - b]", "else low]"),
+        {II, "ok", "AscentBoundViolated", "TypeError"}, {II, "ok", "DipsBelowGround"}),
+    "spine-build-not-reversed": (
+        "_left_spine", rewrite("spine.reverse()", "pass"), {II, "ok"}, {II, "ok"}),
+    "spine-build-highest-valley": (
+        "_left_spine", rewrite("bal < lowest", "bal > lowest"),
+        {II, "ok", "IndexError", "Runaway"}, {II, "ok", "IndexError", "DipsBelowGround"}),
+    "spine-case1-keeps-the-end": (
+        "_inverse_step_core", rewrite("spine[-1][0] -= 2", "pass"), {II, "ok"}, {II, "ok"}),
+    "spine-case2-no-pop": (
+        "_inverse_step_core", rewrite("spine.pop()", "pass"), {II, "ok"}, {II, "ok"}),
+    "spine-case2-keeps-the-end": (
+        "_inverse_step_core", rewrite("top[0] -= 2", "pass"), {II, "ok"}, {II, "ok"}),
+    "spine-case2-keeps-the-low": (
+        "_inverse_step_core", rewrite("top[1] -= 1", "pass"),
+        {II, "ok", "Runaway"}, {II, "ok", "DipsBelowGround"}),
+    "spine-case4-no-push": (
+        "_inverse_step_core", rewrite("spine.append([len(new), moved])", "pass"),
+        {II, "ok"}, {II, "ok"}),
+}
+
+
+class Runaway(Exception):
+    pass
+
+
+def unwinding_outcomes(unwind):
+    """How ``unwind`` ends on the image of every member of size <= N."""
+    outcomes = set()
+    for k in range(1, N + 1):
+        for s in sequences._iter_021_entries(k):
+            try:
+                got = unwind(DyckPath(bijection._forward_entries(s)[0]))
+            except Exception as exc:  # any exception is an outcome
+                outcomes.add(type(exc).__name__)
+            else:
+                outcomes.add("ok" if got.entries == s else "wrong")
+    return outcomes
+
+
+def install_spine_mutant(monkeypatch, mutant_id):
+    if mutant_id:
+        target, make, _, _ = SPINE_MUTANTS[mutant_id]
+        monkeypatch.setattr(bijection, target, make(getattr(bijection, target)))
+    core = bijection._inverse_step_core
+
+    def guarded(steps, spine=None):
+        stepped = core(steps, spine)
+        if len(stepped[0]) != len(steps) - 2:
+            raise Runaway(steps)
+        return stepped
+
+    monkeypatch.setattr(bijection, "_inverse_step_core", guarded)
+
+
+@pytest.mark.parametrize("mutant_id", SPINE_MUTANTS)
+def test_spine_mutant_is_caught_by_inverse_and_inverse_trace(monkeypatch, mutant_id):
+    install_spine_mutant(monkeypatch, mutant_id)
+    by_inverse, by_trace = SPINE_MUTANTS[mutant_id][2:]
+    assert unwinding_outcomes(inverse) == by_inverse
+    assert unwinding_outcomes(lambda p: inverse_trace(p).sequence) == by_trace
+    assert by_inverse & {II, "wrong"} and by_trace & {II, "wrong"}
+
+
+def test_unmutated_spine_unwinds_every_member(monkeypatch):
+    install_spine_mutant(monkeypatch, None)
+    assert unwinding_outcomes(inverse) == {"ok"}
+    assert unwinding_outcomes(lambda p: inverse_trace(p).sequence) == {"ok"}

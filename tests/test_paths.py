@@ -1,48 +1,31 @@
 import random
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
 from ascentdyck import (
     BadCharacter,
+    CapExceeded,
     DipsBelowGround,
     DyckPath,
     EmptyInput,
-    IndexOutOfRange,
     InputError,
-    NotElevated,
-    NotEnoughUpsteps,
-    ResultInvalid,
     SizeZero,
     StepRef,
-    TooSmall,
     Unbalanced,
-    WrongKind,
     degree_of_elevation,
-    delete_last_peak,
     duu_count,
-    elevate,
     enumerate_dyck_paths,
     first_descent_length,
-    insert_ud_at_vertex,
     is_elevated,
-    is_pyramid,
     key_downsteps,
     last_ascent_length,
-    lower,
-    match_of_downstep,
-    match_of_upstep,
     parse_path,
     path_statistics,
-    peak_positions,
     render_ascii,
-    terminal_descent,
-    transfer_upsteps_from_front,
-    transfer_upsteps_to_front,
     valley_count,
-    vertex_height,
 )
-from ascentdyck.paths import DOWN, UP, _is_valid_steps, _validate_steps
+from ascentdyck.paths import UP, _is_valid_steps, _match_down, _validate_steps
 
 from conftest import all_dyck_words, catalan_binomial, stack_matching
 from test_fuzz import draw_path
@@ -128,27 +111,6 @@ class TestParse:
             assert parse_path(p.as_parens()) == p
 
 
-class TestHeights:
-    def test_prefix_height(self):
-        assert vertex_height(DyckPath("UDUUDD"), 4) == 2
-
-    def test_ends_at_ground(self):
-        p = DyckPath("UDUUDD")
-        assert vertex_height(p, 0) == 0
-        assert vertex_height(p, 6) == 0
-
-    def test_out_of_range(self):
-        p = DyckPath("UD")
-        for v in (-1, 3):
-            with pytest.raises(IndexOutOfRange):
-                vertex_height(p, v)
-
-    @pytest.mark.parametrize("v", [1.0, 1.5, True, "1"])
-    def test_vertex_must_be_an_int(self, v):
-        with pytest.raises(InputError, match="vertex must be an int"):
-            vertex_height(DyckPath("UD"), v)
-
-
 class TestFactorCounts:
     def test_anatomy_of_final_example_path(self):
         p = DyckPath("UDUUUDUDUUDDUDDD")
@@ -166,11 +128,6 @@ class TestFactorCounts:
 
     def test_three_valleys(self):
         assert valley_count(DyckPath("UUDUUDUDUUDDDD")) == 3
-
-    def test_peak_positions(self):
-        assert peak_positions(DyckPath("UDUD")) == [1, 3]
-        assert peak_positions(DyckPath("UUDD")) == [2]
-        assert peak_positions(DyckPath("UDUUDD")) == [1, 4]
 
     def test_valley_decomposition(self):
         # every DU factor is followed by U (making a DUU) or by D
@@ -195,7 +152,7 @@ class TestElevation:
 
     def test_pyramid_is_elevated(self):
         p = DyckPath("UUDD")
-        assert is_elevated(p) and is_pyramid(p)
+        assert is_elevated(p) and degree_of_elevation(p) is None
 
     @pytest.mark.parametrize(
         "steps,degree",
@@ -208,10 +165,10 @@ class TestElevation:
     def test_degree_zero_iff_not_elevated(self, n):
         for p in enumerate_dyck_paths(n):
             d = degree_of_elevation(p)
-            if is_pyramid(p):
+            if p.steps == "U" * n + "D" * n:
                 assert d is None
             else:
-                assert (d == 0) == (not is_elevated(p))
+                assert d is not None and (d == 0) == (not is_elevated(p))
 
 
 class TestMatching:
@@ -220,27 +177,15 @@ class TestMatching:
         [("UDUUDD", 6, 3), ("UUDD", 3, 2), ("UDUUDUDD", 8, 3)],
     )
     def test_examples(self, steps, down, up):
-        p = DyckPath(steps)
-        assert match_of_downstep(p, StepRef(down, DOWN)) == StepRef(up, UP)
-        assert match_of_upstep(p, StepRef(up, UP)) == StepRef(down, DOWN)
-
-    def test_wrong_kind(self):
-        p = DyckPath("UDUD")
-        with pytest.raises(WrongKind):
-            match_of_downstep(p, StepRef(1, DOWN))  # step 1 is U
-        with pytest.raises(WrongKind):
-            match_of_downstep(p, StepRef(1, UP))  # right step, wrong operation
-        with pytest.raises(IndexOutOfRange):
-            match_of_downstep(p, StepRef(9, DOWN))
+        # 1-based in the table, 0-based offsets in and out
+        assert _match_down(steps, down - 1) == up - 1
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_against_stack_pairing(self, n):
         # independent oracle: one-pass stack pairing of the whole word
         for p in enumerate_dyck_paths(n):
-            pairs = stack_matching(p.steps)
-            for d, u in pairs.items():
-                assert match_of_downstep(p, StepRef(d, DOWN)).index == u
-                assert match_of_upstep(p, StepRef(u, UP)).index == d
+            for d, u in stack_matching(p.steps).items():
+                assert _match_down(p.steps, d - 1) == u - 1
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_nesting(self, n):
@@ -265,13 +210,6 @@ class TestStepRef:
 
 class TestTerminalDescentAndKeys:
     @pytest.mark.parametrize(
-        "steps,first,last",
-        [("UUDUUDUDUUDDDD", 11, 14), ("UDUD", 4, 4), ("UUUDDD", 4, 6)],
-    )
-    def test_terminal_descent(self, steps, first, last):
-        assert terminal_descent(DyckPath(steps)) == range(first, last + 1)
-
-    @pytest.mark.parametrize(
         "steps,keys",
         [
             ("UUDUUDUDUUDDDD", [12, 13]),
@@ -288,7 +226,8 @@ class TestTerminalDescentAndKeys:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_keys_live_on_terminal_descent(self, n):
         for p in enumerate_dyck_paths(n):
-            rng = terminal_descent(p)
+            # the maximal downstep run ending the path, 1-based
+            rng = range(p.steps.rfind("U") + 2, len(p.steps) + 1)
             pairs = stack_matching(p.steps)
             claimed = {r.index for r in key_downsteps(p)}
             for d in rng:
@@ -306,126 +245,6 @@ class TestTerminalDescentAndKeys:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_pyramids_have_no_keys(self, n):
         assert key_downsteps(DyckPath("U" * n + "D" * n)) == []
-
-
-class TestEdits:
-    def test_insert_at_last_peak_vertex(self):
-        assert insert_ud_at_vertex(DyckPath("UDUD"), 3) == DyckPath("UDUUDD")
-
-    def test_insert_at_one(self):
-        assert insert_ud_at_vertex(DyckPath("UD"), 1) == DyckPath("UUDD")
-
-    def test_insert_mid_descent(self):
-        assert insert_ud_at_vertex(DyckPath("UDUUDUDD"), 7) == DyckPath("UDUUDUDUDD")
-
-    def test_insert_bad_vertex(self):
-        with pytest.raises(IndexOutOfRange):
-            insert_ud_at_vertex(DyckPath("UD"), 5)
-
-    @pytest.mark.parametrize("v", [1.0, True])
-    def test_insert_vertex_must_be_an_int(self, v):
-        with pytest.raises(InputError, match="vertex must be an int"):
-            insert_ud_at_vertex(DyckPath("UD"), v)
-
-    def test_elevate_examples(self):
-        assert elevate(DyckPath("UDUUDUDUDD")) == DyckPath("UUDUUDUDUDDD")
-        assert elevate(DyckPath("UD")) == DyckPath("UUDD")
-
-    def test_lower_example(self):
-        assert lower(DyckPath("UUDUDD")) == DyckPath("UDUD")
-
-    def test_lower_requires_elevated(self):
-        with pytest.raises(NotElevated):
-            lower(DyckPath("UDUD"))
-
-    def test_lower_requires_size(self):
-        with pytest.raises(TooSmall):
-            lower(DyckPath("UD"))
-
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_lower_elevate_inverse(self, n):
-        for p in enumerate_dyck_paths(n):
-            assert lower(elevate(p)) == p
-            if p.size >= 2 and is_elevated(p):
-                assert elevate(lower(p)) == p
-
-    @pytest.mark.parametrize(
-        "steps,expected",
-        [("UUDUUDDD", "UUDUDD"), ("UUDUDDUD", "UUDUDD"), ("UUDD", "UD")],
-    )
-    def test_delete_last_peak(self, steps, expected):
-        assert delete_last_peak(DyckPath(steps)) == DyckPath(expected)
-
-    def test_delete_last_peak_too_small(self):
-        with pytest.raises(TooSmall):
-            delete_last_peak(DyckPath("UD"))
-
-
-class TestTransfers:
-    def test_from_front_final_step_of_worked_example(self):
-        p = DyckPath("UUDUUDUDUUDDUDDD")
-        got = transfer_upsteps_from_front(p, 1, StepRef(4, UP))
-        assert got == DyckPath("UDUUUDUDUUDDUDDD")
-
-    def test_zero_count_is_identity(self):
-        p = DyckPath("UUDUDD")
-        assert transfer_upsteps_from_front(p, 0, StepRef(4, UP)) == p
-        assert transfer_upsteps_to_front(p, 0, StepRef(4, UP)) == p
-
-    def test_to_front_inverse_case_example(self):
-        p = DyckPath("UDUUDUUUDDDD")
-        got = transfer_upsteps_to_front(p, 1, StepRef(7, UP))
-        assert got == DyckPath("UUDUUDUUDDDD")
-
-    def test_not_enough_upsteps_at_front(self):
-        with pytest.raises(NotEnoughUpsteps):
-            transfer_upsteps_from_front(DyckPath("UDUUDD"), 2, StepRef(4, UP))
-
-    def test_not_enough_upsteps_before_target(self):
-        with pytest.raises(NotEnoughUpsteps):
-            transfer_upsteps_to_front(DyckPath("UDUUDD"), 2, StepRef(4, UP))
-
-    def test_target_inside_moved_prefix(self):
-        with pytest.raises(IndexOutOfRange):
-            transfer_upsteps_from_front(DyckPath("UUDD"), 2, StepRef(2, UP))
-
-    def test_result_invalid(self):
-        # moving both leading upsteps past the DD would dip below ground
-        with pytest.raises(ResultInvalid):
-            transfer_upsteps_from_front(DyckPath("UUDDUUDD"), 2, StepRef(5, UP))
-
-    def test_wrong_kind(self):
-        with pytest.raises(WrongKind):
-            transfer_upsteps_from_front(DyckPath("UUDD"), 1, StepRef(3, DOWN))
-
-    @pytest.mark.parametrize("count", [1.0, 0.0, True])
-    def test_from_front_count_must_be_an_int(self, count):
-        # a zero float used to return the path unchanged
-        with pytest.raises(InputError, match="transfer count must be an int"):
-            transfer_upsteps_from_front(DyckPath("UUDD"), count, StepRef(2, UP))
-
-    @pytest.mark.parametrize("count", [1.0, 0.0, True])
-    def test_to_front_count_must_be_an_int(self, count):
-        with pytest.raises(InputError, match="transfer count must be an int"):
-            transfer_upsteps_to_front(DyckPath("UUDD"), count, StepRef(2, UP))
-
-    @pytest.mark.parametrize("n", range(2, 6))
-    def test_transfer_pair_is_inverse(self, n):
-        # wherever from_front succeeds, to_front with the same reference
-        # undoes it, and the referenced upstep keeps its index
-        for p in enumerate_dyck_paths(n):
-            lead = len(p.steps) - len(p.steps.lstrip("U"))
-            for k in range(1, lead + 1):
-                for i0, c in enumerate(p.steps):
-                    if c != "U" or i0 < k:
-                        continue
-                    ref = StepRef(i0 + 1, UP)
-                    try:
-                        moved = transfer_upsteps_from_front(p, k, ref)
-                    except ResultInvalid:
-                        continue
-                    assert moved.steps[i0] == "U"
-                    assert transfer_upsteps_to_front(moved, k, ref) == p
 
 
 class TestEnumeration:
@@ -513,50 +332,40 @@ class TestRender:
             art = render_ascii(p)
             assert art.endswith("\n")
             rows = art[:-1].split("\n")
-            top = max(
-                vertex_height(p, v) for v in range(len(p.steps) + 1)
-            )
+            top = max(accumulate(1 if c == "U" else -1 for c in p.steps))
             assert len(rows) == top
             assert all(len(r) <= len(p.steps) for r in rows)
             assert sum(r.count("/") + r.count("\\") for r in rows) == len(p.steps)
 
+    def test_at_the_limit(self):
+        # the size-2,000 pyramid: 4,000 steps by 2,000 rows, 8,000,000 cells
+        art = render_ascii(DyckPath("U" * 2000 + "D" * 2000))
+        rows = art.split("\n")[:-1]
+        assert len(rows) == 2000
+        assert rows[0] == " " * 1999 + "/\\"
+        assert rows[-1] == "/" + " " * 3998 + "\\"
+
+    def test_just_past_the_limit(self):
+        # one more peak at ground: 4,002 steps by 2,000 rows
+        with pytest.raises(CapExceeded, match="4002 steps by 2000 rows is past the limit of 8,000,000 cells"):
+            render_ascii(DyckPath("U" * 2000 + "D" * 2000 + "UD"))
+
 
 class TestTypedArguments:
-    # a plain str passes no DyckPath check and an int no StepRef check
+    # a plain str passes no DyckPath check
     @pytest.mark.parametrize("call", [
         lambda: key_downsteps("UUDD"),
-        lambda: match_of_downstep(DyckPath("UUDD"), 3),
-        lambda: match_of_upstep(DyckPath("UUDD"), 1),
-        lambda: transfer_upsteps_from_front(DyckPath("UUDUDD"), 1, 4),
-        lambda: transfer_upsteps_to_front(DyckPath("UDUUDD"), 1, 4),
         lambda: path_statistics("UD"),
         lambda: render_ascii("UD"),
         lambda: degree_of_elevation("UD"),
         lambda: is_elevated("UD"),
-        lambda: is_pyramid("UD"),
-        lambda: vertex_height("UD", 0),
         lambda: first_descent_length("UD"),
         lambda: last_ascent_length("UD"),
         lambda: valley_count("UD"),
         lambda: duu_count("UD"),
-        lambda: peak_positions("UD"),
-        lambda: terminal_descent("UD"),
-        lambda: match_of_downstep("UUDD", StepRef(3, DOWN)),
-        lambda: match_of_upstep("UUDD", StepRef(1, UP)),
-        lambda: insert_ud_at_vertex("UD", 0),
-        lambda: elevate("UD"),
-        lambda: lower("UUDD"),
-        lambda: delete_last_peak("UDUD"),
-        lambda: transfer_upsteps_from_front("UUDUDD", 1, StepRef(4, UP)),
-        lambda: transfer_upsteps_to_front("UDUUDD", 1, StepRef(4, UP)),
-    ], ids=["key_downsteps", "match_of_downstep_ref", "match_of_upstep_ref",
-            "transfer_from_front_ref", "transfer_to_front_ref", "path_statistics",
-            "render_ascii", "degree_of_elevation", "is_elevated", "is_pyramid",
-            "vertex_height", "first_descent_length", "last_ascent_length",
-            "valley_count", "duu_count", "peak_positions", "terminal_descent",
-            "match_of_downstep", "match_of_upstep", "insert_ud_at_vertex",
-            "elevate", "lower", "delete_last_peak", "transfer_from_front",
-            "transfer_to_front"])
+    ], ids=["key_downsteps", "path_statistics", "render_ascii", "degree_of_elevation",
+            "is_elevated", "first_descent_length", "last_ascent_length", "valley_count",
+            "duu_count"])
     def test_plain_values_raise_input_error(self, call):
-        with pytest.raises(InputError, match=r"must be a (DyckPath|StepRef), got (str|int)"):
+        with pytest.raises(InputError, match=r"must be a DyckPath, got str"):
             call()
