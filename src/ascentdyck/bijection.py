@@ -76,9 +76,13 @@ builds the spine, and each step keeps it exact in constant time:
 
 ``inverse`` and ``inverse_trace`` carry the spine and check once per
 unwinding that it reached UD as [[2, None]], as ``forward`` checks its
-carried e.  ``inverse_step``,
-``classify_inverse_case`` and the sweeps in ``verify`` scan for the
-elevation instead, so they stay independent of the carried state.
+carried e.  A drifted spine can lower a word that is not elevated into
+one that is no Dyck path; the step cores do not validate their words, but
+case 1 raises ``InternalInvariant`` on a word with no UD factor rather
+than splicing it longer, and every step record raises it for a word that
+is no Dyck path.  ``inverse_step``, ``classify_inverse_case`` and the
+sweeps in ``verify`` scan for the elevation instead, so they stay
+independent of the carried state.
 """
 
 from __future__ import annotations
@@ -434,6 +438,8 @@ def _inverse_step_core(steps: str, spine=None):
     case_id = _classify(steps, elevated)
     if case_id == 1:
         i = steps.rfind("UD")
+        if i < 0:
+            raise InternalInvariant(f"case 1 on {steps}, which has no UD factor")
         if elevated:
             spine[-1][0] -= 2
         return steps[:i] + steps[i + 2 :], 1, 0, None, None
@@ -482,13 +488,17 @@ def _inverse_record(steps: str, spine=None) -> InverseStepRecord:
     # one unwinding step from the word ``steps`` of size >= 2, reading the
     # elevation off ``spine`` when the caller carries one
     new_steps, case_id, emitted, mark0, rank = _inverse_step_core(steps, spine)
+    try:
+        after = DyckPath(new_steps)
+    except InputError as exc:
+        raise InternalInvariant(f"case {case_id} on {steps} left no Dyck path: {exc}") from None
     return InverseStepRecord(
         size=len(steps) // 2,
         case_id=case_id,
         emitted=REPEAT_PREVIOUS if emitted is None else emitted,
         marked_step=None if mark0 is None else StepRef(mark0 + 1, DOWN),
         rank_right_to_left=rank,
-        path_after=DyckPath(new_steps),
+        path_after=after,
     )
 
 

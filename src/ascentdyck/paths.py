@@ -37,6 +37,7 @@ _STEP_TO_BIT = str.maketrans("UD", "01")
 _CHUNK_NEED = [max(0, *(2 * (c >> k).bit_count() + k - 8 for k in range(8))) for c in range(256)]
 _CHUNK_NET = [8 - 2 * c.bit_count() for c in range(256)]
 _RENDER_LIMIT = 8_000_000  # grid cells, steps × height: the size-2,000 pyramid
+_GLYPH = {UP: ord("/"), DOWN: ord("\\")}
 
 
 def _validate_steps(steps: str) -> None:
@@ -319,15 +320,8 @@ def render_ascii(p: DyckPath) -> str:
             f"a drawing of {len(s)} steps by {top} rows is past the limit of "
             f"{_RENDER_LIMIT:,} cells"
         )
-    rows = []
-    for h in range(top, 0, -1):
-        chars = []
-        for i, c in enumerate(s):
-            if c == UP and heights[i + 1] == h:
-                chars.append("/")
-            elif c == DOWN and heights[i] == h:
-                chars.append("\\")
-            else:
-                chars.append(" ")
-        rows.append("".join(chars).rstrip())
-    return "\n".join(rows) + "\n"
+    rows = [bytearray(b" " * len(s)) for _ in range(top)]
+    for i, c in enumerate(s):
+        # the higher end of a step is the row it is drawn on
+        rows[top - max(heights[i], heights[i + 1])][i] = _GLYPH[c]
+    return b"\n".join(row.rstrip() for row in rows).decode() + "\n"

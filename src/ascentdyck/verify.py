@@ -193,108 +193,86 @@ def _coverage(n: int, *bads: _Witnesses):
 class _Sweep:
     """One family walk, run by the first ``_fused`` call, doing the per-edge
     and per-leaf work of the requested ones of roundtrip, bijectivity,
-    invariants and statistics.  Each gets what its own walk gives it:
-    invariants skips the subtree under a failing edge, and an exception ends
-    each check that meets it, to be re-raised for it, where invariants keeps
-    an ``InternalInvariant`` as a witness."""
+    invariants and statistics.  A walk of one check is that check's own
+    walk: invariants keeps an ``InternalInvariant`` as a witness and skips
+    the subtree under the failing edge, and any other exception propagates.
+    A walk of several checks ends at the first exception, an invariants
+    witness included, and is marked failed; each check then runs its own
+    walk, so that every report and every exception is the standalone one."""
 
     def __init__(self, names):
         self.names = set(names) & {"roundtrip", "bijectivity", "invariants", "statistics"}
-        self.errors = None
+        self.failed = None  # None until run
 
     def run(self, n: int) -> None:
         want = self.names
         bad = self.bad = {name: _Witnesses() for name in want}
-        errors = self.errors = {}
         inv = "invariants" in want
         filers = [bad[k] for k in ("roundtrip", "bijectivity") if k in want]
         file, close = _coverage(n, *filers) if filers else (None, None)
         ok = self.ok = "statistics" in want and dict.fromkeys(_STAT_NAMES, True)
-        cut = n + 1  # invariants skips the edges from sizes >= cut
-        inv_leaves, buf = 0, [0] * n
+        buf = [0] * n
         # read as the walk starts, as _inverse_entries reads it: one core
         inverse_core = "roundtrip" in want and bijection._inverse_step_core
 
-        def end(exc, *names):
-            errors.update({name: exc for name in names if name not in errors})
-            if errors.keys() >= want:
-                raise exc
-
         def step(path, v, state):
             # edges come in walk order: buf[:i] and state[2] are the parent's
-            nonlocal cut
             i = len(path) // 2
             buf[i] = v
-            checking = inv and i < cut
-            if checking:
-                cut = n + 1
-            stepped = None
             try:
                 stepped = _forward_step_core(path, v, state)
-                if checking:
+                if inv:
                     if stepped[1] == 4:
                         _assert_carried_degree(path, state[3])
                     _assert_classified_as(stepped[0], stepped[1])
-            except Exception as exc:
-                # met by every other check if the core raised, by invariants if checking
-                met = [] if stepped else ["roundtrip", "bijectivity", "statistics"]
-                if checking and isinstance(exc, InternalInvariant):
-                    bad["invariants"].add("step-invariant", ",".join(map(str, buf[: i + 1])),
-                                          str(exc))
-                    cut = i + 1
-                elif checking:
-                    met.append("invariants")
-                end(exc, *met)
-                if stepped is None or not want - errors.keys() - {"invariants"}:
-                    return None  # nothing else walks this subtree
+            except InternalInvariant as exc:
+                if want != {"invariants"}:
+                    raise  # a witness only on invariants' own walk
+                bad["invariants"].add("step-invariant", ",".join(map(str, buf[: i + 1])),
+                                      str(exc))
+                return None  # the subtree under a failing edge is skipped
             if inverse_core:
                 child = stepped[0]
-                try:
-                    back, _, emitted, _, _ = inverse_core(child)
-                    if back != path or (state[2] if emitted is None else emitted) != v:
-                        came_back = ",".join(map(str, _inverse_entries(child)))
-                        bad["roundtrip"].add("sequence-roundtrip", ",".join(map(str, buf[: i + 1])),
-                                             f"via {child} came back as {came_back}")
-                except Exception as exc:
-                    end(exc, "roundtrip")
+                back, _, emitted, _, _ = inverse_core(child)
+                if back != path or (state[2] if emitted is None else emitted) != v:
+                    came_back = ",".join(map(str, _inverse_entries(child)))
+                    bad["roundtrip"].add("sequence-roundtrip", ",".join(map(str, buf[: i + 1])),
+                                         f"via {child} came back as {came_back}")
             return stepped
 
         def visit(leaf, path):
-            nonlocal inv_leaves
-            inv_leaves += cut > n
             if file:
-                try:
-                    file(leaf, path)
-                except Exception as exc:
-                    end(exc, "roundtrip", "bijectivity")
+                file(leaf, path)
             if ok:
-                try:
-                    s = _sequence_stats_raw(leaf)
-                    a, b, c, d, e = _path_stats_raw(path)
-                    p = (a, b - 1, c, d, e)  # terminal zeros mirror the last ascent less one
-                    for idx in [k for k in range(5) if s[k] != p[k]] if s != p else ():
-                        ok[_STAT_NAMES[idx]] = False
-                        bad["statistics"].add("statistic", ",".join(map(str, leaf)),
-                                              f"{_STAT_NAMES[idx]}: {s[idx]} != {p[idx]} on {path}")
-                except Exception as exc:
-                    end(exc, "statistics")
+                s = _sequence_stats_raw(leaf)
+                a, b, c, d, e = _path_stats_raw(path)
+                p = (a, b - 1, c, d, e)  # terminal zeros mirror the last ascent less one
+                for idx in [k for k in range(5) if s[k] != p[k]] if s != p else ():
+                    ok[_STAT_NAMES[idx]] = False
+                    bad["statistics"].add("statistic", ",".join(map(str, leaf)),
+                                          f"{_STAT_NAMES[idx]}: {s[idx]} != {p[idx]} on {path}")
 
         try:
             self.leaves = _fold_family(n, visit, step)
-        except Exception as exc:
-            errors.update(dict.fromkeys(want - errors.keys(), exc))
-        self.inv_leaves, self.distinct = inv_leaves, close() if file else 0
+            self.distinct = close() if file else 0
+            self.failed = False
+        except Exception:
+            if len(want) == 1:
+                raise
+            self.failed = True
 
 
 def _fused(name: str, n: int, cap: int, sweep: _Sweep | None):
-    # the gate, then this check's witnesses (timed from here) and the sweep
+    # the gate, then this check's witnesses (timed from here) and the sweep;
+    # a shared sweep that failed gives way to this check's own
     t0 = time.perf_counter()
     _require_size(n, cap)
     sweep = sweep or _Sweep((name,))
-    if sweep.errors is None:
+    if sweep.failed is None:
         sweep.run(n)
-    if name in sweep.errors:
-        raise sweep.errors[name]
+    if sweep.failed:
+        sweep = _Sweep((name,))
+        sweep.run(n)
     bad = _Witnesses()
     bad.t0, bad.items, bad.total = t0, list(sweep.bad[name].items), sweep.bad[name].total
     return bad, sweep
@@ -376,7 +354,7 @@ def check_invariants(n: int, cap: int = DEFAULT_CAP, *, _sweep=None) -> VerifyRe
                 bad.add("case-split", steps,
                         f"classified {_classify(steps)}, conditions say "
                         f"{truth.index(True) + 1}")
-    return bad.report("invariants", n, sweep.inv_leaves, npath)
+    return bad.report("invariants", n, sweep.leaves, npath)
 
 
 _STAT_NAMES = (

@@ -351,6 +351,19 @@ class TestVerifySharedWalk:
         assert all(sweep is not None and sweep is shared[0] for sweep in shared)
         assert all(sweep is None for name, sweep in calls if name not in FUSED)
 
+    @pytest.mark.parametrize("mutant, code", [(None, 0), ("fwd-case4-moves-e-minus-1-upsteps", 2)])
+    def test_a_clean_run_walks_once(self, capsys, monkeypatch, mutant, code):
+        # one forward edge per node of sizes 2..6 when all four pass; a
+        # failing check sends each of them back to its own walk
+        if mutant:
+            install(monkeypatch, mutant)
+        core, calls = verify._forward_step_core, []
+        monkeypatch.setattr(verify, "_forward_step_core",
+                            lambda path, v, state: calls.append(v) or core(path, v, state))
+        assert run_cli(capsys, "verify", "6", "--checks", ",".join(FUSED))[0] == code
+        once = 195  # Catalan(2) + ... + Catalan(6)
+        assert len(calls) == once if mutant is None else len(calls) > once
+
     def test_the_sweep_starts_after_the_entry_gate(self, no_sweep):
         sweep = verify._Sweep(FUSED)
         for name in FUSED:
@@ -359,7 +372,7 @@ class TestVerifySharedWalk:
                 check(3.0, _sweep=sweep)
             with pytest.raises(CapExceeded):
                 check(20, cap=20, _sweep=sweep)
-        assert sweep.errors is None
+        assert sweep.failed is None  # the sweep never ran
 
     @pytest.mark.parametrize("names", [FUSED, ("roundtrip",), ("bijectivity",),
                                        ("invariants",), ("statistics",)])

@@ -221,13 +221,12 @@ def test_invariants_alone_walks_no_subtree_under_a_failing_edge(monkeypatch):
 
 
 def test_a_forward_core_exception_is_an_invariants_witness(monkeypatch):
-    # the other three checks meet it on their walk and re-raise the very
-    # exception the shared walk met
+    # the other three checks meet it on their own walks and raise it
     install(monkeypatch, "fwd-case3-refused")
     _, shared = standalone_and_shared(N)
     raised = [shared[name] for name in ("roundtrip", "bijectivity", "statistics")]
     assert isinstance(raised[0], InternalInvariant)
-    assert raised[1] is raised[0] and raised[2] is raised[0]
+    assert {(type(exc), str(exc)) for exc in raised} == {(InternalInvariant, "case 3 refused")}
     assert {f.detail for f in shared["invariants"][4]} == {"case 3 refused"}
 
 
@@ -267,9 +266,9 @@ def test_a_leaf_exception_ends_only_the_checks_that_meet_it(monkeypatch, name, m
 # how the unwindings of every member of size <= 8 end, for ``inverse`` and
 # for ``inverse_trace``: "ok", "wrong" or the exception raised.  A drifted
 # spine can read a word as elevated that is not; case 2 then leaves a word
-# that is no Dyck path, and case 1 on a word without a UD factor nearly
-# doubles it, so a guard stops any step that does not take the word down
-# by one size ("Runaway") before it can grow without bound.
+# that is no Dyck path, which case 1 refuses once it has no UD factor.  A
+# guard still stops any step that does not take the word down by one size
+# ("Runaway") before it can grow without bound.
 II = "InternalInvariant"
 SPINE_MUTANTS = {
     "spine-build-end-one-short": (
@@ -279,12 +278,12 @@ SPINE_MUTANTS = {
         "_left_spine", rewrite("[end - b, None", "[end, None"), {II, "ok"}, {II, "ok"}),
     "spine-build-lows-not-lowered": (
         "_left_spine", rewrite("else low - b]", "else low]"),
-        {II, "ok", "AscentBoundViolated", "TypeError"}, {II, "ok", "DipsBelowGround"}),
+        {II, "ok", "AscentBoundViolated", "TypeError"}, {II, "ok"}),
     "spine-build-not-reversed": (
         "_left_spine", rewrite("spine.reverse()", "pass"), {II, "ok"}, {II, "ok"}),
     "spine-build-highest-valley": (
         "_left_spine", rewrite("bal < lowest", "bal > lowest"),
-        {II, "ok", "IndexError", "Runaway"}, {II, "ok", "IndexError", "DipsBelowGround"}),
+        {II, "ok", "IndexError"}, {II, "ok", "IndexError"}),
     "spine-case1-keeps-the-end": (
         "_inverse_step_core", rewrite("spine[-1][0] -= 2", "pass"), {II, "ok"}, {II, "ok"}),
     "spine-case2-no-pop": (
@@ -293,7 +292,7 @@ SPINE_MUTANTS = {
         "_inverse_step_core", rewrite("top[0] -= 2", "pass"), {II, "ok"}, {II, "ok"}),
     "spine-case2-keeps-the-low": (
         "_inverse_step_core", rewrite("top[1] -= 1", "pass"),
-        {II, "ok", "Runaway"}, {II, "ok", "DipsBelowGround"}),
+        {II, "ok"}, {II, "ok"}),
     "spine-case4-no-push": (
         "_inverse_step_core", rewrite("spine.append([len(new), moved])", "pass"),
         {II, "ok"}, {II, "ok"}),

@@ -313,7 +313,31 @@ class TestStatistics:
         ) == (1, 2, 3, 2, 1)
 
 
+def render_by_cells(p):
+    # the drawing one (row, step) cell at a time, as the grid's definition
+    # reads: an oracle for render_ascii
+    s = p.steps
+    heights = list(accumulate((1 if c == UP else -1 for c in s), initial=0))
+    rows = []
+    for h in range(max(heights), 0, -1):
+        chars = []
+        for i, c in enumerate(s):
+            if c == UP and heights[i + 1] == h:
+                chars.append("/")
+            elif c != UP and heights[i] == h:
+                chars.append("\\")
+            else:
+                chars.append(" ")
+        rows.append("".join(chars).rstrip())
+    return "\n".join(rows) + "\n"
+
+
 class TestRender:
+    def test_matches_the_cell_by_cell_drawing(self):
+        for n in range(1, 9):
+            for p in enumerate_dyck_paths(n):
+                assert render_ascii(p) == render_by_cells(p), p.steps
+
     def test_single_peak(self):
         assert render_ascii(DyckPath("UD")) == "/\\\n"
 
@@ -339,7 +363,9 @@ class TestRender:
 
     def test_at_the_limit(self):
         # the size-2,000 pyramid: 4,000 steps by 2,000 rows, 8,000,000 cells
-        art = render_ascii(DyckPath("U" * 2000 + "D" * 2000))
+        pyramid = DyckPath("U" * 2000 + "D" * 2000)
+        art = render_ascii(pyramid)
+        assert art == render_by_cells(pyramid)
         rows = art.split("\n")[:-1]
         assert len(rows) == 2000
         assert rows[0] == " " * 1999 + "/\\"
