@@ -283,10 +283,12 @@ def _forward_entries(entries):
     return path, state
 
 
-def _assert_classified_as(steps: str, case_id: int) -> None:
+def _assert_classified_as(steps: str, case_id: int, got: int | None = None) -> None:
     # the inverse reads the case back off the shape a step leaves, so a
-    # step that leaves another case's shape is a construction bug
-    got = _classify(steps)
+    # step that leaves another case's shape is a construction bug; ``got``
+    # is the inverse's case when the caller has classified the word already
+    if got is None:
+        got = _classify(steps)
     if got != case_id:
         raise InternalInvariant(f"case {case_id} step left a case-{got} shape: {steps}")
 
@@ -539,7 +541,10 @@ def inverse(P: DyckPath) -> AscentSequence:
     spine = _left_spine(steps)
     entries = _inverse_entries(steps, spine)
     _assert_carried_spine(spine)
-    return AscentSequence(tuple(entries))
+    try:
+        return AscentSequence(tuple(entries))
+    except InputError as exc:
+        raise InternalInvariant(f"unwinding {steps} left no ascent sequence: {exc}") from None
 
 
 def inverse_trace(P: DyckPath) -> InverseTrace:

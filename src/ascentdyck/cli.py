@@ -101,7 +101,9 @@ def _forward_trace_lines(trace, fmt: str) -> list[str]:
 
 
 def _stat_cell(values: tuple) -> str:
-    return ",".join("-" if v is None else str(v) for v in values)
+    # of the five statistics, only the last can be None
+    a, b, c, d, e = values
+    return f"{a},{b},{c},{d},{'-' if e is None else e}"
 
 
 def _cmd_map(args) -> int:
@@ -146,29 +148,30 @@ def _cmd_unmap(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    n = args.n
-    out = sys.stdout
+    # one f-string and one write per row
+    n, stats = args.n, args.stats
+    write = sys.stdout.write
     if args.side == "seq":
         for seq in enumerate_021_avoiding(n):
-            line = str(seq)
-            if args.stats:
-                line += "\t" + _stat_cell(_sequence_stats_raw(seq.entries))
-            out.write(line + "\n")
+            if stats:
+                write(f"{seq}\t{_stat_cell(_sequence_stats_raw(seq.entries))}\n")
+            else:
+                write(f"{seq}\n")
     elif args.side == "path":
         for p in enumerate_dyck_paths(n):
-            line = p.steps
-            if args.stats:
-                line += "\t" + _stat_cell(_path_stats_raw(p.steps))
-            out.write(line + "\n")
+            if stats:
+                write(f"{p.steps}\t{_stat_cell(_path_stats_raw(p.steps))}\n")
+            else:
+                write(f"{p.steps}\n")
     else:
         for seq, p in iter_pairs(n):
-            line = f"{seq}\t{p.steps}"
-            if args.stats:
-                line += (
-                    "\t" + _stat_cell(_sequence_stats_raw(seq.entries))
-                    + "\t" + _stat_cell(_path_stats_raw(p.steps))
+            if stats:
+                write(
+                    f"{seq}\t{p.steps}\t{_stat_cell(_sequence_stats_raw(seq.entries))}"
+                    f"\t{_stat_cell(_path_stats_raw(p.steps))}\n"
                 )
-            out.write(line + "\n")
+            else:
+                write(f"{seq}\t{p.steps}\n")
     return 0
 
 

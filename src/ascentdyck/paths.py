@@ -60,10 +60,20 @@ def _validate_steps(steps: str) -> None:
 
 
 def _is_valid_steps(steps: str) -> bool:
-    # fast validity test for hot sweeps: as many U as D and nothing else (int()
-    # takes _, signs, spaces), then no dip below 0, 8 steps at a time padded with U
+    # fast validity test for hot sweeps.  A word is a Dyck word exactly when
+    # deleting UD factors empties it; each pass deletes every peak, so the
+    # height falls by at least one per pass, and a word of up to 64 steps
+    # takes at most 32 passes.  A longer word is tested in one pass: as many
+    # U as D and nothing else (int() takes _, signs, spaces), then no dip
+    # below 0, 8 steps at a time padded with U.
     n2 = len(steps)
-    if n2 == 0 or n2 % 2 or steps.count(UP) * 2 != n2 or steps.count(DOWN) * 2 != n2:
+    if n2 <= 64:
+        shorter = steps.replace("UD", "")
+        while shorter != steps:
+            steps = shorter
+            shorter = steps.replace("UD", "")
+        return n2 > 0 and not steps
+    if n2 % 2 or steps.count(UP) * 2 != n2 or steps.count(DOWN) * 2 != n2:
         return False
     height = 0
     for c in (int(steps.translate(_STEP_TO_BIT), 2) << -n2 % 8).to_bytes((n2 + 7) // 8, "big"):
@@ -84,7 +94,11 @@ class DyckPath(_Record):
         self.__post_init__()
 
     def __post_init__(self):
-        _validate_steps(self.steps)
+        # the fast verdict; the step-by-step scan only names the fault
+        steps = self.steps
+        if not (isinstance(steps, str) and _is_valid_steps(steps)):
+            _validate_steps(steps)
+            raise InternalInvariant(f"the fast test refused {steps!r}, which is a Dyck path")
 
     @property
     def size(self) -> int:

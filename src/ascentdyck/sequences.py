@@ -59,21 +59,29 @@ class AscentSequence(_Record):
             raise FirstEntryNonzero(
                 f"first entry must be 0, got {entries[0]} at position 1"
             )
-        ascents = 0
-        for i in range(1, len(entries)):
-            u = entries[i]
-            if u < 0:
-                raise NegativeEntry(position=i + 1, entry=u)
-            if u > ascents + 1:
-                raise AscentBoundViolated(position=i + 1, entry=u, bound=ascents + 1)
-            if entries[i - 1] < u:
-                ascents += 1
+        # every entry lies in 0..bound, one more than the ascents before it;
+        # the first is 0, so the walk may start there
+        bound = 1
+        prev = 0
+        for i, u in enumerate(entries):
+            if not 0 <= u <= bound:
+                if u < 0:
+                    raise NegativeEntry(position=i + 1, entry=u)
+                raise AscentBoundViolated(position=i + 1, entry=u, bound=bound)
+            if prev < u:
+                bound += 1
+            prev = u
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __str__(self) -> str:
-        return ",".join(map(str, self.entries))
+        # the entries are exact ints, so the tuple's repr spells each one
+        # as str() does; a 1-tuple's repr has a trailing comma
+        entries = self.entries
+        if len(entries) == 1:
+            return str(entries[0])
+        return repr(entries)[1:-1].replace(", ", ",")
 
 
 def _entries_of(seq: AscentSequence) -> tuple[int, ...]:

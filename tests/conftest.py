@@ -60,3 +60,12 @@ def stack_matching(steps: str) -> dict[int, int]:
         else:
             pairs[i] = stack.pop()
     return pairs
+
+
+def raised(fn, arg):
+    """None when ``fn(arg)`` returns, else the class and message it raised."""
+    try:
+        fn(arg)
+    except Exception as exc:  # any exception is an outcome
+        return type(exc), str(exc)
+    return None

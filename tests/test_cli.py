@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ascentdyck import cli, verify
+from ascentdyck import bijection, cli, verify
 from ascentdyck.cli import main
 from ascentdyck.errors import CapExceeded, InputError
 
@@ -171,6 +171,12 @@ class TestEnumerate:
     def test_bad_size(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("values", [
+        (4, 3, 0, 0, None), (1, 0, 2, 1, 0), (12, 11, 10, 9, 8), (0, 0, 0, 0, None),
+    ])
+    def test_stat_cell_is_the_generic_join(self, values):
+        assert cli._stat_cell(values) == ",".join("-" if v is None else str(v) for v in values)
 
 
 class TestStats:
@@ -363,6 +369,16 @@ class TestVerifySharedWalk:
         assert run_cli(capsys, "verify", "6", "--checks", ",".join(FUSED))[0] == code
         once = 195  # Catalan(2) + ... + Catalan(6)
         assert len(calls) == once if mutant is None else len(calls) > once
+
+    @pytest.mark.parametrize("checks", ["invariants", "roundtrip,invariants", ",".join(FUSED)])
+    def test_each_child_word_is_classified_once(self, capsys, monkeypatch, checks):
+        # invariants alone classifies every child word itself; with
+        # roundtrip it reads the case off the inverse step instead
+        classify, calls = bijection._classify, []
+        monkeypatch.setattr(bijection, "_classify",
+                            lambda *args: calls.append(args) or classify(*args))
+        assert run_cli(capsys, "verify", "6", "--checks", checks)[0] == 0
+        assert len(calls) == 195
 
     def test_the_sweep_starts_after_the_entry_gate(self, no_sweep):
         sweep = verify._Sweep(FUSED)

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import accumulate, product
 
 import pytest
@@ -10,6 +11,7 @@ from ascentdyck import (
     DyckPath,
     EmptyInput,
     InputError,
+    InternalInvariant,
     SizeZero,
     StepRef,
     Unbalanced,
@@ -25,9 +27,10 @@ from ascentdyck import (
     render_ascii,
     valley_count,
 )
+from ascentdyck import paths
 from ascentdyck.paths import UP, _is_valid_steps, _match_down, _validate_steps
 
-from conftest import all_dyck_words, catalan_binomial, stack_matching
+from conftest import all_dyck_words, catalan_binomial, raised, stack_matching
 from test_fuzz import draw_path
 
 
@@ -109,6 +112,74 @@ class TestParse:
         for p in enumerate_dyck_paths(n):
             assert parse_path(str(p)) == p
             assert parse_path(p.as_parens()) == p
+
+
+class Word(str):
+    pass
+
+
+def broken_variants(valid):
+    # words of the same length: one step flipped, one swapped for x, the
+    # first step moved to the end, and the word run backwards
+    k = len(valid) // 3
+    flipped = valid[:k] + ("D" if valid[k] == "U" else "U") + valid[k + 1:]
+    return [flipped, valid[:k] + "x" + valid[k + 1:], valid[1:] + valid[0], valid[::-1]]
+
+
+class TestFastVerdict:
+    """``DyckPath`` takes its verdict from ``_is_valid_steps``, which deletes
+    UD factors on words of up to 64 steps and scans 8-step chunks past
+    that, and asks ``_validate_steps`` only to name the fault."""
+
+    def test_short_words_over_three_letters(self):
+        words = ["".join(w) for k in range(9) for w in product("UDx", repeat=k)]
+        assert len(words) == 9841
+        for steps in words:
+            assert raised(DyckPath, steps) == raised(_validate_steps, steps), steps
+
+    @pytest.mark.parametrize("length", [62, 63, 64, 65, 66, 128])
+    def test_words_either_side_of_the_deletion_bound(self, length):
+        rng = random.Random(length)
+        size = length // 2
+        valid = ["U" * size + "D" * size, "UD" * size] + [draw_path(rng, size) for _ in range(20)]
+        if length % 2:
+            words = [w + c for w in valid for c in "UDx"]
+        else:
+            words = valid + [bad for w in valid for bad in broken_variants(w)]
+        assert {len(w) for w in words} == {length}
+        for steps in words:
+            assert raised(DyckPath, steps) == raised(_validate_steps, steps), steps
+            assert raised(DyckPath, Word(steps)) == raised(_validate_steps, steps), steps
+
+    @pytest.mark.parametrize("steps", [None, ["U", "D"], b"UD", 12],
+                             ids=["none", "list", "bytes", "int"])
+    def test_non_strings(self, steps):
+        assert raised(DyckPath, steps) == raised(_validate_steps, steps)
+        assert raised(DyckPath, steps)[0] is InputError
+
+    def test_a_refused_valid_word_is_an_internal_fault(self, monkeypatch):
+        monkeypatch.setattr(paths, "_is_valid_steps", lambda steps: False)
+        with pytest.raises(InternalInvariant, match="fast test refused 'UUDD'"):
+            DyckPath("UUDD")
+        with pytest.raises(Unbalanced):
+            DyckPath("UUD")
+
+    def test_a_str_subclass_is_a_step_word(self):
+        p = DyckPath(Word("UUDD"))
+        assert p == DyckPath("UUDD") and hash(p) == hash(DyckPath("UUDD"))
+
+    def test_fast_test_equals_the_validator_on_every_short_word(self):
+        for k in range(15):
+            for w in product("UD", repeat=k):
+                steps = "".join(w)
+                assert _is_valid_steps(steps) is (raised(_validate_steps, steps) is None), steps
+
+    def test_a_long_pyramid_is_not_deleted_peak_by_peak(self):
+        # the deletion loop takes one pass per unit of height: 100,000
+        # passes, about 40 s, on this word, against milliseconds by chunks
+        t0 = time.perf_counter()
+        DyckPath(UP * 100_000 + "D" * 100_000)
+        assert time.perf_counter() - t0 < 2.0
 
 
 class TestFactorCounts:

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 import pytest
@@ -26,7 +27,8 @@ from ascentdyck import (
 
 from ascentdyck.sequences import _closes_021_bruteforce
 
-from conftest import all_ascent_sequences, catalan_binomial, nonzero_weakly_increasing
+from conftest import all_ascent_sequences, catalan_binomial, nonzero_weakly_increasing, raised
+from test_fuzz import draw_member
 
 
 class TestValidation:
@@ -93,6 +95,67 @@ class TestValidation:
             except InputError:
                 ok = False
             assert ok == (xs in valid), xs
+
+
+def parent_entry_checks(raw):
+    """The entry checks as the two-test loop made them before the one-pass
+    check: the oracle whose exception class and message it must repeat."""
+    entries = tuple(raw)
+    if not entries:
+        raise EmptyInput("an ascent sequence has at least one entry")
+    for i, u in enumerate(entries):
+        if type(u) is not int:
+            raise NonIntegerEntry(position=i + 1, entry=u)
+    if entries[0] != 0:
+        raise FirstEntryNonzero(f"first entry must be 0, got {entries[0]} at position 1")
+    ascents = 0
+    for i in range(1, len(entries)):
+        u = entries[i]
+        if u < 0:
+            raise NegativeEntry(position=i + 1, entry=u)
+        if u > ascents + 1:
+            raise AscentBoundViolated(position=i + 1, entry=u, bound=ascents + 1)
+        if entries[i - 1] < u:
+            ascents += 1
+
+
+class TestOnePassCheck:
+    def test_every_short_tuple_over_minus_one_to_four(self):
+        tuples = [xs for k in range(1, 7) for xs in product(range(-1, 5), repeat=k)]
+        assert len(tuples) == 55_986
+        faults = set()
+        for xs in tuples:
+            got = raised(AscentSequence, xs)
+            assert got == raised(parent_entry_checks, xs), xs
+            faults.add(got and got[0])
+        assert {NegativeEntry, AscentBoundViolated, FirstEntryNonzero, None} <= faults
+
+    @pytest.mark.parametrize("xs", [
+        (0, True), (0, False, 1), (False,), (0, 1, 1.0), (0, 0.0), (0.0,), (0, 2.5),
+        (0, -1.0), (0, 1, True, 3), (0, 5, 1.5),
+    ])
+    def test_bools_and_floats(self, xs):
+        assert raised(AscentSequence, xs) == raised(parent_entry_checks, xs)
+        assert raised(AscentSequence, xs)[0] is NonIntegerEntry
+
+
+class TestText:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_the_family(self, n):
+        for seq in enumerate_021_avoiding(n):
+            assert str(seq) == ",".join(map(str, seq.entries))
+
+    @pytest.mark.parametrize("entries", [
+        (0,), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10, 0, 11),
+        (0, *range(1, 300)),
+    ], ids=["one", "to-11", "repeat-10", "to-299"])
+    def test_single_and_multi_digit_entries(self, entries):
+        assert str(AscentSequence(entries)) == ",".join(map(str, entries))
+
+    def test_a_long_member(self):
+        entries = draw_member(random.Random(3), 2048)
+        assert max(entries) >= 100
+        assert str(AscentSequence(entries)) == ",".join(map(str, entries))
 
 
 class TestParsing:
