@@ -153,25 +153,22 @@ def _cmd_enumerate(args) -> int:
     write = sys.stdout.write
     if args.side == "seq":
         for seq in enumerate_021_avoiding(n):
-            if stats:
-                write(f"{seq}\t{_stat_cell(_sequence_stats_raw(seq.entries))}\n")
-            else:
-                write(f"{seq}\n")
+            write(
+                f"{seq}\t{_stat_cell(_sequence_stats_raw(seq.entries))}\n" if stats else f"{seq}\n"
+            )
     elif args.side == "path":
         for p in enumerate_dyck_paths(n):
-            if stats:
-                write(f"{p.steps}\t{_stat_cell(_path_stats_raw(p.steps))}\n")
-            else:
-                write(f"{p.steps}\n")
+            write(
+                f"{p.steps}\t{_stat_cell(_path_stats_raw(p.steps))}\n" if stats else f"{p.steps}\n"
+            )
     else:
         for seq, p in iter_pairs(n):
-            if stats:
-                write(
-                    f"{seq}\t{p.steps}\t{_stat_cell(_sequence_stats_raw(seq.entries))}"
-                    f"\t{_stat_cell(_path_stats_raw(p.steps))}\n"
-                )
-            else:
-                write(f"{seq}\t{p.steps}\n")
+            write(
+                f"{seq}\t{p.steps}\t{_stat_cell(_sequence_stats_raw(seq.entries))}"
+                f"\t{_stat_cell(_path_stats_raw(p.steps))}\n"
+                if stats
+                else f"{seq}\t{p.steps}\n"
+            )
     return 0
 
 

@@ -62,12 +62,13 @@ def _validate_steps(steps: str) -> None:
 def _is_valid_steps(steps: str) -> bool:
     # fast validity test for hot sweeps.  A word is a Dyck word exactly when
     # deleting UD factors empties it; each pass deletes every peak, so the
-    # height falls by at least one per pass, and a word of up to 64 steps
-    # takes at most 32 passes.  A longer word is tested in one pass: as many
-    # U as D and nothing else (int() takes _, signs, spaces), then no dip
-    # below 0, 8 steps at a time padded with U.
+    # height falls by at least one per pass, and a word of up to 32 steps
+    # takes at most 16 passes.  Past 32 steps the passes cost more than the
+    # chunk scan on high words, so a longer word is tested in one pass: as
+    # many U as D and nothing else (int() takes _, signs, spaces), then no
+    # dip below 0, 8 steps at a time padded with U.
     n2 = len(steps)
-    if n2 <= 64:
+    if n2 <= 32:
         shorter = steps.replace("UD", "")
         while shorter != steps:
             steps = shorter

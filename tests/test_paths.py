@@ -128,7 +128,7 @@ def broken_variants(valid):
 
 class TestFastVerdict:
     """``DyckPath`` takes its verdict from ``_is_valid_steps``, which deletes
-    UD factors on words of up to 64 steps and scans 8-step chunks past
+    UD factors on words of up to 32 steps and scans 8-step chunks past
     that, and asks ``_validate_steps`` only to name the fault."""
 
     def test_short_words_over_three_letters(self):
@@ -137,7 +137,7 @@ class TestFastVerdict:
         for steps in words:
             assert raised(DyckPath, steps) == raised(_validate_steps, steps), steps
 
-    @pytest.mark.parametrize("length", [62, 63, 64, 65, 66, 128])
+    @pytest.mark.parametrize("length", [30, 31, 32, 33, 34, 62, 63, 64, 65, 66, 128])
     def test_words_either_side_of_the_deletion_bound(self, length):
         rng = random.Random(length)
         size = length // 2
@@ -174,12 +174,28 @@ class TestFastVerdict:
                 steps = "".join(w)
                 assert _is_valid_steps(steps) is (raised(_validate_steps, steps) is None), steps
 
-    def test_a_long_pyramid_is_not_deleted_peak_by_peak(self):
-        # the deletion loop takes one pass per unit of height: 100,000
-        # passes, about 40 s, on this word, against milliseconds by chunks
+    @pytest.mark.parametrize("length, reaches", [
+        (2, True), (31, True), (32, True), (33, False), (34, False), (64, False), (200_000, False),
+    ])
+    def test_only_words_of_up_to_32_steps_reach_the_deletion_loop(self, length, reaches):
+        # the loop's first pass is the word's own replace; later passes run
+        # on the plain str it returns
+        class Counted(str):
+            def replace(self, *args):
+                calls.append(args)
+                return str.replace(self, *args)
+
+        calls = []
+        steps = UP * (length // 2) + "D" * (length // 2) + UP * (length % 2)
+        assert _is_valid_steps(Counted(steps)) is (length % 2 == 0)
+        assert calls == ([("UD", "")] if reaches else [])
+
+    def test_a_long_pyramid_validates(self):
+        # a loose guard on top of the bound test: the deletion loop would take
+        # 100,000 passes, about 40 s, on this word, against milliseconds by chunks
         t0 = time.perf_counter()
         DyckPath(UP * 100_000 + "D" * 100_000)
-        assert time.perf_counter() - t0 < 2.0
+        assert time.perf_counter() - t0 < 10.0
 
 
 class TestFactorCounts:
