@@ -35,6 +35,43 @@ as part of the prefix state.  ``forward`` checks the carried e against the
 final word once, and ``check_invariants`` against the parent word on
 every case-4 edge of its sweep.
 
+Case 4 also needs the matches of the terminal downsteps: its key
+downsteps are read off them, and the transfer ends at u0.  So ``forward``
+carries the word's right spine instead of scanning for them: the offsets
+of the upsteps still open at the last peak, bottom first, which are the
+right spine of the path's plane tree.  Its top i is the last peak's
+upstep, the offset ``rfind("UD")`` finds, and with t0 = i + 1 the
+terminal downstep t0 + j matches the entry j places below the top.  Each
+step keeps it exact:
+
+  case 1  splices a peak after i: push i + 1;
+  case 2  raises the word: every offset gains 1, and 0 goes in at the
+          bottom.  The offsets are stored less a running shift, in a
+          deque, so this costs O(1);
+  case 3  appends a ground peak: the spine becomes [len(path)];
+  case 4  opens a peak on the key downstep d0.  The terminal downsteps
+          t0 .. d0 - 1 come before the new peak and close the d0 - t0
+          entries above u0, so these are popped and u0 is the new top;
+          then d0, the new peak's upstep, is pushed.  For e > 0 the
+          bottom e entries are the front upsteps 0 .. e - 1, which move
+          to just below u0: they are dropped, the entries between them
+          and u0 fall by e, and u0 - e .. u0 - 1 go in just below u0.
+
+Case 4 reads the spine from the top down to u0 and pops every entry it
+read above u0, so it costs O(popped + e); every entry is pushed once, and
+e only grows through case-2 steps, so a map costs amortized O(1) spine
+work per entry.  Only the scanning cores count every key against the
+menu; with a spine, case 4 checks that the chosen key exists.
+``_forward_entries`` checks the carried spine against the final word's
+terminal matches once per map, beside e.  A drift that a later case 3
+resets would escape that check and leave a wrong word, so two cheap
+probes run on the way: before case 3 resets the spine and before case 4
+reads it, a step checks that the spine's top and height account for the
+terminal descent (top + 1 + height = len(path)), and case 4 checks, with
+one ``str.count``, that the word from u0 to d0 balances.  So a drifted spine ends ``forward`` and ``forward_step`` in
+``InternalInvariant``.  The verify sweeps and the trace records pass no
+spine: they scan.
+
 The inverse reads the same four shapes off the end of a path.  Its case 2
 only reveals that an entry repeats its left neighbour; those placeholders
 are resolved once the unwinding reaches UD.
@@ -80,13 +117,16 @@ carried e.  A drifted spine can lower a word that is not elevated into
 one that is no Dyck path; the step cores do not validate their words, but
 case 1 raises ``InternalInvariant`` on a word with no UD factor rather
 than splicing it longer, and every step record raises it for a word that
-is no Dyck path.  ``inverse_step``, ``classify_inverse_case`` and the
+is no Dyck path.  A ``TypeError``, ``IndexError`` or ``ValueError`` met
+while building or carrying either spine is raised again as
+``InternalInvariant``.  ``inverse_step``, ``classify_inverse_case`` and the
 sweeps in ``verify`` scan for the elevation instead, so they stay
 independent of the carried state.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator
 
 from ._record import _Record
@@ -109,6 +149,7 @@ from .paths import (
     _key_downsteps,
     _match_down,
     _steps_of,
+    _terminal_matches,
     key_downsteps,
 )
 from .sequences import (
@@ -234,36 +275,103 @@ class InverseTrace(_Record):
 # -- forward map --------------------------------------------------------------
 
 
-def _forward_step_core(path: str, u: int, state):
+class _RightSpine:
+    """The right spine of a word (see the module docstring), bottom first.
+    The deque ``ups`` holds each offset less ``shift``."""
+
+    __slots__ = ("ups", "shift")
+
+    def __init__(self, offsets):
+        self.ups = deque(offsets)
+        self.shift = 0
+
+    @property
+    def top(self) -> int:
+        return self.ups[-1] + self.shift
+
+    def __iter__(self):
+        return map(self.shift.__add__, self.ups)
+
+    def __reversed__(self):
+        return map(self.shift.__add__, reversed(self.ups))
+
+
+_CARRIED_FAULTS = (IndexError, TypeError, ValueError)
+
+
+def _forward_step_core(path: str, u: int, state, spine=None):
     """Apply one growth step to a raw step word.
 
     ``state`` is the prefix state (see ``sequences._ROOT``) of the prefix
     already folded in, whose image is ``path``; its degree of elevation
     e is carried, not measured (see the module docstring), and only case
-    4 reads it, as the number of upsteps to transfer.  Returns
-    (new_path, case_id, extras) with extras = (menu_position,
+    4 reads it, as the number of upsteps to transfer.  A ``spine``, the
+    right spine of ``path``, gives case 4 its key downsteps and u0
+    without a scan and is updated in place to the spine of new_path.
+    Returns (new_path, case_id, extras) with extras = (menu_position,
     elevation_degree) for case 4 and None otherwise.  The caller
     guarantees u extends the prefix legally.
     """
     a, m, last, e = state
     if u == 0:
         i = path.rfind("UD")
+        if spine is not None:
+            spine.ups.append(i + 1 - spine.shift)
         return path[: i + 1] + "UD" + path[i + 1 :], 1, None
     if u == last:
+        if spine is not None:
+            spine.shift += 1
+            spine.ups.appendleft(-spine.shift)
         return UP + path + DOWN, 2, None
+    if spine is not None and spine.top + 1 + len(spine.ups) != len(path):
+        # probed before case 3 resets the spine and case 4 reads it
+        raise InternalInvariant(
+            f"carried right spine of height {len(spine.ups)} and top {spine.top} "
+            f"does not fit the terminal descent of {path}"
+        )
     if u == a + 1:
+        if spine is not None:
+            spine.ups.clear()
+            spine.shift = 0
+            spine.ups.append(len(path))
         return path + "UD", 3, None
     lo = _menu_low(m, last)
-    keys = _key_downsteps(path)
-    if len(keys) != a - lo + 1 or not keys:
-        raise InternalInvariant(
-            f"menu size {max(a - lo + 1, 0)} != key downstep count {len(keys)} "
-            f"on {path}"
-        )
+    if spine is None:
+        keys = _key_downsteps(path)
+        if len(keys) != a - lo + 1 or not keys:
+            raise InternalInvariant(
+                f"menu size {max(a - lo + 1, 0)} != key downstep count {len(keys)} "
+                f"on {path}"
+            )
+    else:
+        keys = _key_downsteps(path, spine, u - lo + 1)
+        if len(keys) != u - lo + 1:
+            raise InternalInvariant(
+                f"menu position {u - lo + 1} past the {len(keys)} key downsteps "
+                f"of the carried spine on {path}"
+            )
     if e is None:
         raise InternalInvariant(f"menu entry {u} reached a pyramid path {path}")
     d0 = keys[u - lo]
-    u0 = _match_down(path, d0)
+    if spine is None:
+        u0 = _match_down(path, d0)
+    else:
+        ups = spine.ups
+        for _ in range(d0 - spine.top - 1):
+            ups.pop()
+        u0 = spine.top
+        if 2 * path.count(UP, u0, d0) != d0 - u0 + 1:
+            raise InternalInvariant(
+                f"carried right spine matched {u0} to {d0}, which do not balance, "
+                f"on {path}"
+            )
+        if e:
+            ups.pop()
+            for _ in range(e):
+                ups.popleft()
+            spine.shift -= e
+            ups.extend(range(u0 - e - spine.shift, u0 + 1 - spine.shift))
+        ups.append(d0 - spine.shift)
     new = path[:d0] + "UD" + path[d0:]
     # kept as a branch: one splice for every e ran the n=11 fold 2.4 % slower
     if e:
@@ -274,12 +382,25 @@ def _forward_step_core(path: str, u: int, state):
 
 
 def _forward_entries(entries):
-    # the image word of a family member and its prefix state
+    # the image word of a family member and its prefix state, with the
+    # word's right spine carried and checked once, beside the degree of
+    # elevation, against the final word
     _require_021(entries)
-    path, state = "UD", _ROOT
-    for u in entries[1:]:
-        path = _forward_step_core(path, u, state)[0]
-        state = _grow(state, u)
+    path, state, spine = "UD", _ROOT, _RightSpine([0])
+    try:
+        for u in entries[1:]:
+            path = _forward_step_core(path, u, state, spine)[0]
+            state = _grow(state, u)
+    except _CARRIED_FAULTS as exc:
+        raise InternalInvariant(
+            f"growing {path} on its carried right spine raised {exc!r}"
+        ) from exc
+    _assert_carried_degree(path, state[3])
+    measured = _terminal_matches(path)[1][::-1]
+    if list(spine) != measured:
+        raise InternalInvariant(
+            f"carried right spine {list(spine)} != {measured} measured on {path}"
+        )
     return path, state
 
 
@@ -344,9 +465,7 @@ def forward_step(P: DyckPath, prefix: AscentSequence, u: int) -> tuple[DyckPath,
 
 def forward(seq: AscentSequence) -> DyckPath:
     """Map a 021-avoiding ascent sequence to its Dyck path."""
-    path, state = _forward_entries(_entries_of(seq))
-    _assert_carried_degree(path, state[3])
-    return DyckPath(path)
+    return DyckPath(_forward_entries(_entries_of(seq))[0])
 
 
 def forward_trace(seq: AscentSequence) -> ForwardTrace:
@@ -523,22 +642,34 @@ def _assert_carried_spine(spine) -> None:
 def _inverse_entries(steps: str, spine=None) -> list[int]:
     # the preimage's entries, unwound with the word's left spine carried
     # in ``spine``, which is built here unless the caller hands it in
-    if spine is None:
-        spine = _left_spine(steps)
+    word = steps
     emissions: list[int | None] = []
-    while len(steps) > 2:
-        steps, _, emitted, _, _ = _inverse_step_core(steps, spine)
-        emissions.append(emitted)
+    try:
+        if spine is None:
+            spine = _left_spine(steps)
+        while len(steps) > 2:
+            steps, _, emitted, _, _ = _inverse_step_core(steps, spine)
+            emissions.append(emitted)
+    except _CARRIED_FAULTS as exc:
+        raise _left_spine_fault(word, exc) from exc
     entries = [0]
     for e in reversed(emissions):
         entries.append(entries[-1] if e is None else e)
     return entries
 
 
+def _left_spine_fault(steps: str, exc: Exception) -> InternalInvariant:
+    # a drifted left spine can index past a word or meet a None low
+    return InternalInvariant(f"unwinding {steps} on its carried left spine raised {exc!r}")
+
+
 def inverse(P: DyckPath) -> AscentSequence:
     """Map a Dyck path back to its 021-avoiding ascent sequence."""
     steps = _steps_of(P)
-    spine = _left_spine(steps)
+    try:
+        spine = _left_spine(steps)
+    except _CARRIED_FAULTS as exc:
+        raise _left_spine_fault(steps, exc) from exc
     entries = _inverse_entries(steps, spine)
     _assert_carried_spine(spine)
     try:
@@ -553,12 +684,15 @@ def inverse_trace(P: DyckPath) -> InverseTrace:
     steps = _steps_of(P)
     if len(steps) > 2 * _TRACE_LIMIT:
         raise CapExceeded(f"a trace of size {len(steps) // 2} is past the limit of {_TRACE_LIMIT}")
-    spine = _left_spine(steps)
     records = []
-    while len(steps) > 2:
-        record = _inverse_record(steps, spine)
-        records.append(record)
-        steps = record.path_after.steps
+    try:
+        spine = _left_spine(steps)
+        while len(steps) > 2:
+            record = _inverse_record(steps, spine)
+            records.append(record)
+            steps = record.path_after.steps
+    except _CARRIED_FAULTS as exc:
+        raise _left_spine_fault(P.steps, exc) from exc
     _assert_carried_spine(spine)
     return InverseTrace(initial=P, records=tuple(records))
 

@@ -251,13 +251,21 @@ def _terminal_matches(steps: str) -> tuple[int, list[int]]:
     return t0, matches
 
 
-def _key_downsteps(steps: str) -> list[int]:
-    # 0-based offsets, left to right
-    t0, matches = _terminal_matches(steps)
+def _key_downsteps(steps: str, spine=None, count: int | None = None) -> list[int]:
+    # 0-based offsets, left to right, only the first ``count`` when given.
+    # The matches are read off a carried right spine (see the bijection
+    # module docstring), top first, when the caller has one, and scanned
+    # otherwise
+    if spine is None:
+        t0, matches = _terminal_matches(steps)
+    else:
+        t0, matches = spine.top + 1, reversed(spine)
     out = []
     for j, u0 in enumerate(matches):
         if u0 and steps[u0 - 1] == DOWN and steps[u0 + 1] == UP:
             out.append(t0 + j)
+            if len(out) == count:
+                break
     return out
 
 

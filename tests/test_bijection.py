@@ -71,8 +71,8 @@ class TestForward:
         # the carried degree counts the repeat, the final word does not
         from ascentdyck import bijection
 
-        def flat(path, u, state):
-            stepped = _forward_step_core(path, u, state)
+        def flat(path, u, state, *carried):
+            stepped = _forward_step_core(path, u, state, *carried)
             return (path + "UD", 2, None) if stepped[1] == 2 else stepped
 
         monkeypatch.setattr(bijection, "_forward_step_core", flat)

@@ -28,9 +28,15 @@ from ascentdyck import (
     path_statistics,
     sequence_statistics,
 )
-from ascentdyck import bijection
-from ascentdyck.bijection import _forward_step_core, _inverse_entries
-from ascentdyck.paths import _degree_of_elevation, _is_elevated_steps, _iter_dyck_steps
+from ascentdyck import bijection, paths
+from ascentdyck.bijection import _RightSpine, _forward_step_core, _inverse_entries
+from ascentdyck.paths import (
+    _degree_of_elevation,
+    _is_elevated_steps,
+    _iter_dyck_steps,
+    _terminal_matches,
+)
+from ascentdyck.sequences import _ROOT, _grow, _iter_021_entries
 
 SEED = 20140
 MEMBERS = 80
@@ -250,3 +256,75 @@ def test_uniform_path(steps):
         # lifted, the lowest valley is above ground and every valley is read
         lifted = "U" * lift + steps + "D" * lift
         assert _degree_of_elevation(lifted) == scanned_degree_of_elevation(lifted)
+
+
+def right_spine_by_definition(steps: str) -> list[int]:
+    """The offsets of the upsteps still open at the last peak, bottom
+    first, by a stack walk up to it."""
+    opened = []
+    for k in range(steps.rfind("U") + 1):
+        if steps[k] == "U":
+            opened.append(k)
+        else:
+            opened.pop()
+    return opened
+
+
+def grow_on_a_carried_right_spine(entries) -> str:
+    """The forward loop with a right spine carried, checked after every
+    step against the matches scanned on the word, and the word against the
+    scanning core's."""
+    path, state, spine = "UD", _ROOT, _RightSpine([0])
+    for u in entries[1:]:
+        scanned = _forward_step_core(path, u, state)[0]
+        path = _forward_step_core(path, u, state, spine)[0]
+        state = _grow(state, u)
+        assert path == scanned, entries
+        assert list(spine) == _terminal_matches(path)[1][::-1], entries
+    return path
+
+
+def test_right_spine_by_definition_is_the_terminal_matches_on_every_path():
+    for n in range(1, 11):
+        for steps in _iter_dyck_steps(n):
+            assert right_spine_by_definition(steps) == _terminal_matches(steps)[1][::-1], steps
+
+
+def test_carried_right_spine_after_every_step_of_every_member():
+    # every shorter member is a prefix of one of size 10, as 0 always extends
+    for entries in _iter_021_entries(10):
+        grow_on_a_carried_right_spine(entries)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_carried_right_spine_after_every_step_at_2000_entries(seed):
+    entries = draw_member(random.Random(SEED + seed), 2000)
+    assert grow_on_a_carried_right_spine(entries) == forward(AscentSequence(entries)).steps
+
+
+@pytest.mark.parametrize("steps", uniform_paths(), ids=lambda s: f"n{len(s) // 2}")
+def test_carried_right_spine_after_every_step_to_a_uniform_path(steps):
+    # the preimages of uniform paths reach shapes the member draw does not
+    entries = inverse(DyckPath(steps)).entries
+    assert grow_on_a_carried_right_spine(entries) == steps
+
+
+@pytest.mark.parametrize("entries", [
+    (0,) + (1,) * 15_999,
+    (0,) * 16_000,
+    draw_member(random.Random(7), 16_000),
+], ids=["staircase", "all-zero", "member"])
+def test_forward_scans_the_terminal_matches_once_at_16k_entries(monkeypatch, entries):
+    # the carried spine replaces every case-4 scan; the one left is the
+    # drift check on the final word
+    calls = []
+    scan = paths._terminal_matches
+
+    def counted(steps):
+        calls.append(len(steps))
+        return scan(steps)
+
+    monkeypatch.setattr(paths, "_terminal_matches", counted)
+    monkeypatch.setattr(bijection, "_terminal_matches", counted)
+    assert forward(AscentSequence(entries)).size == 16_000
+    assert calls == [32_000]

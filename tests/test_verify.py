@@ -115,8 +115,7 @@ def no_sweep(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a sweep started before the arguments were checked")
 
-    for name in ("_walk_021", "_coverage", "_iter_dyck_steps",
-                 "enumerate_021_avoiding", "enumerate_dyck_paths"):
+    for name in ("_walk_021", "_coverage", "_iter_dyck_steps", "enumerate_021_avoiding"):
         monkeypatch.setattr(verify, name, refused)
 
 
@@ -157,8 +156,8 @@ def case1_drops_the_first_peak(core):
 def case2_appends_a_peak(core):
     # a forward core that appends a peak for a repeated entry but still
     # labels the step case 2
-    def mislabelled(path, v, state):
-        stepped = core(path, v, state)
+    def mislabelled(path, v, state, *carried):
+        stepped = core(path, v, state, *carried)
         return (path + "UD", 2, None) if stepped[1] == 2 else stepped
 
     return mislabelled
