@@ -111,17 +111,67 @@ builds the spine, and each step keeps it exact in constant time:
           moved]; for moved = 0 P is the old word with these edits undone,
           and nothing changes.
 
-``inverse`` and ``inverse_trace`` carry the spine and check once per
-unwinding that it reached UD as [[2, None]], as ``forward`` checks its
-carried e.  A drifted spine can lower a word that is not elevated into
-one that is no Dyck path; the step cores do not validate their words, but
-case 1 raises ``InternalInvariant`` on a word with no UD factor rather
-than splicing it longer, and every step record raises it for a word that
-is no Dyck path.  A ``TypeError``, ``IndexError`` or ``ValueError`` met
-while building or carrying either spine is raised again as
-``InternalInvariant``.  ``inverse_step``, ``classify_inverse_case`` and the
-sweeps in ``verify`` scan for the elevation instead, so they stay
-independent of the carried state.
+Inverse case 4 also needs u0, the match of the mark, and the key
+downsteps of the word it leaves, which it ranks the mark among.  So the
+inverse carries the word's right spine too, in the deque and shift that
+``forward`` uses, and beside it one saved list per left-spine level,
+bottom level first: the right spines of that level's ground components
+left of its last one.  One left-to-right scan builds them all.  It conses
+a cell (offset, cell below) for every upstep, so the cell of a
+component's last peak heads the upsteps open there, and a saved spine is
+that cell with the component's height and its level's base.  A level's
+word starts at offset ``base`` of the whole word, and no step moves a
+component left of a level's last within that level's word, so a saved
+spine stays exact in the level word's offsets, its cells' offsets less
+the base.  Each step keeps the spine and the lists exact:
+
+  case 1  deletes the peak whose upstep i is the spine's top: pop it.  The
+          last ascent was long, so the new last peak's upstep i - 1 was
+          the entry below.  No ground component but the last changes.
+  case 2  lowers the word: drop the bottom entry 0 and lower the rest by
+          one, through the shift, in O(1).  When the left spine pops its
+          top pair, the lowered word is the level below, whose saved list
+          becomes the top one; the list popped was empty, since an
+          elevated word is one component.
+  case 3  deletes the ground peak that is the last component, so the
+          spine was that peak's upstep alone; the component before it is
+          now the last, and its saved spine, popped from the top list,
+          becomes the spine in O(its height).
+  case 4  the spine ends ..., u0, r: the deleted peak's upstep r on top,
+          and below it u0, which matched the terminal downstep after the
+          peak's own, the mark.  Pop r, u0 and the ``moved`` upsteps
+          c0 .. u0 - 1 below u0 in its ascent.  These come back at the
+          front as 0 .. moved - 1, the bottom of the new spine, and the
+          entries left of c0 rise by moved, through the shift.  u0 keeps
+          its offset and goes back on top, and above it the matches that
+          deleting the peak exposes: those of the downsteps between the
+          new last peak and the mark, which lie inside the subtree from
+          u0 to the mark, so one scan of that subtree finds them.  For
+          moved > 0 the left spine pushes a pair for the elevated result,
+          and a new empty saved list, its frame, goes on top: the old top
+          list is the lowered word's.
+
+Case 4 reads the mark's rank off the new spine, through
+``_key_downsteps``, so no step walks the word for matches beyond the
+subtree under u0.  Every offset that leaves the spine is checked against
+the word: the top popped by case 1 must be the deleted peak's upstep, the
+bottom dropped by case 2 must be 0 and the list it pops empty, case 3
+must find the spine of a ground peak, and the entries case 4 pops must be
+r and the ascent c0 .. u0 that ``_match_down`` and a walk left from u0
+find.
+
+``inverse`` and ``inverse_trace`` carry the spines and check once per
+unwinding that they reached UD: the left spine as [[2, None]], as
+``forward`` checks its carried e, and the right spine as [0] with no saved
+spine left.  A drifted left spine can lower a word that is not elevated
+into one that is no Dyck path; the step cores do not validate their
+words, but case 1 raises ``InternalInvariant`` on a word with no UD
+factor rather than splicing it longer, and every step record raises it
+for a word that is no Dyck path.  A ``TypeError``, ``IndexError`` or
+``ValueError`` met while building or carrying the spines is raised again
+as ``InternalInvariant``.  ``inverse_step``, ``classify_inverse_case`` and
+the sweeps in ``verify`` scan instead, so they stay independent of the
+carried state.
 """
 
 from __future__ import annotations
@@ -277,13 +327,29 @@ class InverseTrace(_Record):
 
 class _RightSpine:
     """The right spine of a word (see the module docstring), bottom first.
-    The deque ``ups`` holds each offset less ``shift``."""
+    The deque ``ups`` holds each offset less ``shift``.  The inverse also
+    keeps in ``saved`` one list per left-spine level, bottom level first,
+    of the spines of that level's ground components left of its last one,
+    each as (cell of its last peak, height, base) until case 3 exposes it."""
 
-    __slots__ = ("ups", "shift")
+    __slots__ = ("ups", "shift", "saved")
 
     def __init__(self, offsets):
         self.ups = deque(offsets)
         self.shift = 0
+        self.saved = None
+
+    def expose(self, kept) -> None:
+        # become a kept component's spine: its top ``height`` cells, each
+        # an (offset, cell below) pair, in the offsets of a word starting
+        # at ``base``
+        cell, height, base = kept
+        ups = self.ups
+        ups.clear()
+        for _ in range(height):
+            offset, cell = cell
+            ups.appendleft(offset)
+        self.shift = -base
 
     @property
     def top(self) -> int:
@@ -546,14 +612,60 @@ def _left_spine(steps: str) -> list[list]:
     return spine
 
 
-def _inverse_step_core(steps: str, spine=None):
+def _right_spines(steps: str, left: list[list]) -> _RightSpine:
+    # the right spine of a word and its saved spines (see the module
+    # docstring) in one left-to-right scan.  Level j of the left spine is
+    # the word starting at height ``bases[j]``; the scan leaves it when it
+    # first goes below that height, and each return to it closes one of
+    # its ground components, whose spine is kept as its last peak's cell
+    bases = []
+    b = 0
+    for _, low in reversed(left):
+        bases.append(b)
+        b += low or 0
+    closed: list[list] = [[] for _ in bases]
+    level = len(bases) - 1
+    base = bases[level]
+    cell = peak = None
+    h = top = 0
+    prev = DOWN
+    for k, c in enumerate(steps):
+        if c == UP:
+            cell = (k, cell)
+            h += 1
+        else:
+            if prev == UP:
+                peak, top = cell, h
+            cell = cell[1]
+            h -= 1
+            if h < base:
+                level -= 1
+                base = bases[level]
+            if h == base:
+                closed[level].append((peak, top - h, h))
+        prev = c
+    # each level's last component is carried, not saved: the whole word's
+    # in the spine itself, a lower level's inside the level above it
+    right = _RightSpine(())
+    right.expose(closed[0].pop())
+    for components in closed[1:]:
+        del components[-1:]
+    closed.reverse()
+    right.saved = closed
+    return right
+
+
+def _inverse_step_core(steps: str, spine=None, right=None):
     """One unwinding step on a raw step word.
 
     Returns (new_path, case_id, emitted, mark_offset, rank) where emitted
     is None for case 2, and mark_offset (0-based, in the new path) and
     rank are set only for case 4.  A ``spine``, the left spine of
     ``steps`` (see the module docstring), gives the elevation without a
-    scan and is updated in place to the spine of new_path.
+    scan and is updated in place to the spine of new_path.  Beside it, a
+    ``right`` spine with its saved spines gives case 4 u0 and its key
+    downsteps without a scan of the word, and is updated in place too;
+    every offset leaving it is checked against the word.
     """
     elevated = None if spine is None else spine[-1][0] == len(steps)
     case_id = _classify(steps, elevated)
@@ -561,19 +673,34 @@ def _inverse_step_core(steps: str, spine=None):
         i = steps.rfind("UD")
         if i < 0:
             raise InternalInvariant(f"case 1 on {steps}, which has no UD factor")
-        if elevated:
-            spine[-1][0] -= 2
+        if elevated is not None:
+            if elevated:
+                spine[-1][0] -= 2
+            if right is not None and right.ups.pop() + right.shift != i:
+                raise InternalInvariant(f"carried right spine did not end at {i} on {steps}")
         return steps[:i] + steps[i + 2 :], 1, 0, None, None
     if case_id == 3:
+        if right is not None:
+            if len(right.ups) != 1 or right.top != len(steps) - 2:
+                raise InternalInvariant(
+                    f"carried right spine {list(right)} is not a ground peak's on {steps}"
+                )
+            right.expose(right.saved[-1].pop())
         return steps[:-2], 3, steps.count("DU"), None, None
     if case_id == 2:
         if spine is not None:
             top = spine[-1]
             if top[1] == 1:
                 spine.pop()
+                if right is not None and right.saved.pop():
+                    raise InternalInvariant(f"saved spines left in the elevated word {steps}")
             else:
                 top[0] -= 2
                 top[1] -= 1
+            if right is not None:
+                if right.ups.popleft() + right.shift:
+                    raise InternalInvariant(f"carried right spine did not start at 0 on {steps}")
+                right.shift -= 1
         return steps[1:-1], 2, None, None, None
     # case 4: mark the second downstep of the terminal descent, delete the
     # last peak (the mark slides two places left), then move every upstep
@@ -588,6 +715,24 @@ def _inverse_step_core(steps: str, spine=None):
     while c0 and shorter[c0 - 1] == UP:
         c0 -= 1
     moved = u0 - c0
+    if right is not None:
+        # pop the deleted peak's upstep, u0 and the moved upsteps under
+        # it; the moved ones come back as the front, and the matches that
+        # deleting the peak exposes go on top of u0
+        ups = right.ups
+        shift = right.shift
+        popped = [ups.pop() + shift for _ in range(moved + 2)]
+        if popped != [r, *range(u0, c0 - 1, -1)]:
+            raise InternalInvariant(
+                f"carried right spine ended {popped[::-1]}, not at {c0}..{u0}, {r}, on {steps}"
+            )
+        if moved:
+            right.shift = shift = shift + moved
+            ups.extendleft(range(moved - 1 - shift, -1 - shift, -1))
+            right.saved.append([])
+        ups.append(u0 - shift)
+        exposed = _terminal_matches(shorter[u0 + 1 : mark0])[1]
+        ups.extend([x + u0 + 1 - shift for x in reversed(exposed)])
     # kept as a branch: one splice for every count unwound n=11 4.7 % slower
     if moved:
         new = UP * moved + shorter[:c0] + shorter[u0:]
@@ -595,7 +740,7 @@ def _inverse_step_core(steps: str, spine=None):
             spine.append([len(new), moved])
     else:
         new = shorter
-    keys = _key_downsteps(new)
+    keys = _key_downsteps(new, right)
     try:
         rank = len(keys) - keys.index(mark0)
     except ValueError:
@@ -605,10 +750,10 @@ def _inverse_step_core(steps: str, spine=None):
     return new, 4, valleys - rank, mark0, rank
 
 
-def _inverse_record(steps: str, spine=None) -> InverseStepRecord:
-    # one unwinding step from the word ``steps`` of size >= 2, reading the
-    # elevation off ``spine`` when the caller carries one
-    new_steps, case_id, emitted, mark0, rank = _inverse_step_core(steps, spine)
+def _inverse_record(steps: str, *carried) -> InverseStepRecord:
+    # one unwinding step from the word ``steps`` of size >= 2, on the
+    # spines the caller carries, if any
+    new_steps, case_id, emitted, mark0, rank = _inverse_step_core(steps, *carried)
     try:
         after = DyckPath(new_steps)
     except InputError as exc:
@@ -632,46 +777,56 @@ def inverse_step(P: DyckPath) -> InverseStepRecord:
     return _inverse_record(steps)
 
 
-def _assert_carried_spine(spine) -> None:
+def _carried_spines(steps: str) -> tuple[list[list], _RightSpine]:
+    # the left spine and the right spine with its saved spines, which
+    # ``inverse`` and ``inverse_trace`` carry
+    left = _left_spine(steps)
+    return left, _right_spines(steps, left)
+
+
+def _assert_carried_spines(left, right) -> None:
     # a left spine that drifted from the word's own would read a later
-    # case 2 as case 4 or the other way round
-    if spine != [[2, None]]:
-        raise InternalInvariant(f"carried left spine {spine} at UD, not [[2, None]]")
+    # case 2 as case 4 or the other way round; a right spine or a saved
+    # one, a later key downstep's rank
+    if left != [[2, None]]:
+        raise InternalInvariant(f"carried left spine {left} at UD, not [[2, None]]")
+    if list(right) != [0] or right.saved != [[]]:
+        raise InternalInvariant(
+            f"carried right spine {list(right)} with {sum(map(len, right.saved))} saved "
+            f"spines on {len(right.saved)} levels at UD, not [0] with none on 1"
+        )
 
 
-def _inverse_entries(steps: str, spine=None) -> list[int]:
-    # the preimage's entries, unwound with the word's left spine carried
-    # in ``spine``, which is built here unless the caller hands it in
+def _carried_fault(steps: str, exc: Exception) -> InternalInvariant:
+    # a drifted spine can index past a word, meet a None low or pop an
+    # empty deque
+    return InternalInvariant(f"unwinding {steps} on its carried spines raised {exc!r}")
+
+
+def _inverse_entries(steps: str, carried: bool = True) -> list[int]:
+    # the preimage's entries, unwound on both spines, which are checked at
+    # UD; without ``carried`` every step scans, as the verify sweeps do
     word = steps
     emissions: list[int | None] = []
     try:
-        if spine is None:
-            spine = _left_spine(steps)
+        spines = _carried_spines(steps) if carried else ()
         while len(steps) > 2:
-            steps, _, emitted, _, _ = _inverse_step_core(steps, spine)
+            steps, _, emitted, _, _ = _inverse_step_core(steps, *spines)
             emissions.append(emitted)
     except _CARRIED_FAULTS as exc:
-        raise _left_spine_fault(word, exc) from exc
+        raise _carried_fault(word, exc) from exc
+    if carried:
+        _assert_carried_spines(*spines)
     entries = [0]
     for e in reversed(emissions):
         entries.append(entries[-1] if e is None else e)
     return entries
 
 
-def _left_spine_fault(steps: str, exc: Exception) -> InternalInvariant:
-    # a drifted left spine can index past a word or meet a None low
-    return InternalInvariant(f"unwinding {steps} on its carried left spine raised {exc!r}")
-
-
 def inverse(P: DyckPath) -> AscentSequence:
     """Map a Dyck path back to its 021-avoiding ascent sequence."""
     steps = _steps_of(P)
-    try:
-        spine = _left_spine(steps)
-    except _CARRIED_FAULTS as exc:
-        raise _left_spine_fault(steps, exc) from exc
-    entries = _inverse_entries(steps, spine)
-    _assert_carried_spine(spine)
+    entries = _inverse_entries(steps)
     try:
         return AscentSequence(tuple(entries))
     except InputError as exc:
@@ -686,14 +841,14 @@ def inverse_trace(P: DyckPath) -> InverseTrace:
         raise CapExceeded(f"a trace of size {len(steps) // 2} is past the limit of {_TRACE_LIMIT}")
     records = []
     try:
-        spine = _left_spine(steps)
+        spines = _carried_spines(steps)
         while len(steps) > 2:
-            record = _inverse_record(steps, spine)
+            record = _inverse_record(steps, *spines)
             records.append(record)
             steps = record.path_after.steps
     except _CARRIED_FAULTS as exc:
-        raise _left_spine_fault(P.steps, exc) from exc
-    _assert_carried_spine(spine)
+        raise _carried_fault(P.steps, exc) from exc
+    _assert_carried_spines(*spines)
     return InverseTrace(initial=P, records=tuple(records))
 
 

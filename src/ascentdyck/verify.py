@@ -241,7 +241,7 @@ class _Sweep:
                     # roundtrip and invariants share this walk, which any exception ends
                     _assert_classified_as(child, stepped[1], case_id)
                 if back != path or (state[2] if emitted is None else emitted) != v:
-                    came_back = ",".join(map(str, _inverse_entries(child)))
+                    came_back = ",".join(map(str, _inverse_entries(child, carried=False)))
                     bad["roundtrip"].add("sequence-roundtrip", ",".join(map(str, buf[: i + 1])),
                                          f"via {child} came back as {came_back}")
             return stepped

@@ -9,6 +9,7 @@ drawn uniformly by the cycle lemma, whose shapes the sequence-side draw
 does not reach.
 """
 
+import functools
 import random
 from collections import Counter
 from itertools import combinations
@@ -309,14 +310,21 @@ def test_carried_right_spine_after_every_step_to_a_uniform_path(steps):
     assert grow_on_a_carried_right_spine(entries) == steps
 
 
-@pytest.mark.parametrize("entries", [
-    (0,) + (1,) * 15_999,
-    (0,) * 16_000,
-    draw_member(random.Random(7), 16_000),
-], ids=["staircase", "all-zero", "member"])
-def test_forward_scans_the_terminal_matches_once_at_16k_entries(monkeypatch, entries):
+@functools.cache
+def member_16k() -> tuple[int, ...]:
+    """The seeded 16k-entry member, drawn once: the draw alone takes seconds."""
+    return draw_member(random.Random(7), 16_000)
+
+
+@pytest.mark.parametrize("shape", ["staircase", "all-zero", "member"])
+def test_forward_scans_the_terminal_matches_once_at_16k_entries(monkeypatch, shape):
     # the carried spine replaces every case-4 scan; the one left is the
     # drift check on the final word
+    entries = {
+        "staircase": lambda: (0,) + (1,) * 15_999,
+        "all-zero": lambda: (0,) * 16_000,
+        "member": member_16k,
+    }[shape]()
     calls = []
     scan = paths._terminal_matches
 
@@ -328,3 +336,126 @@ def test_forward_scans_the_terminal_matches_once_at_16k_entries(monkeypatch, ent
     monkeypatch.setattr(bijection, "_terminal_matches", counted)
     assert forward(AscentSequence(entries)).size == 16_000
     assert calls == [32_000]
+
+
+def kept_spine(kept) -> list[int]:
+    """A saved spine as a plain list, bottom first, in its level's offsets."""
+    cell, height, base = kept
+    offsets = []
+    for _ in range(height):
+        offset, cell = cell
+        offsets.append(offset - base)
+    offsets.reverse()
+    return offsets
+
+
+def saved_by_definition(steps: str) -> list[list[list[int]]]:
+    """Per left-spine level, bottom level first, the right spines of that
+    level's ground components left of its last one, by a stack walk over
+    each component, in the level word's own offsets."""
+    saved = []
+    for end, low in reversed(spine_by_definition(steps)):
+        spines, start, bal = [], 0, 0
+        for k, c in enumerate(steps):
+            bal += 1 if c == "U" else -1
+            if not bal:
+                spines.append([start + u for u in right_spine_by_definition(steps[start : k + 1])])
+                start = k + 1
+        saved.append(spines[:-1])
+        if low is None:
+            break
+        steps = steps[low : end - low]
+    return saved[::-1]
+
+
+def saved_as_lists(right) -> list[list[list[int]]]:
+    return [list(map(kept_spine, level)) for level in right.saved]
+
+
+def rebuilt_saved(steps: str, left) -> list[list[list[int]]]:
+    """The saved spines built afresh on the word and its left spine: the
+    oracle where the stack walk of every level, O(levels x steps) a word,
+    is too slow."""
+    return saved_as_lists(bijection._right_spines(steps, left))
+
+
+def unwind_on_carried_right_spines(steps: str, rebuild: bool = False) -> list[int]:
+    """The carried unwinding, with its right spine checked after every
+    step against the matches scanned on the word and its saved spines
+    against their definition, or with ``rebuild`` against the rebuilt
+    ones, and the entries against the scanning unwinding's."""
+    word = steps
+    left, right = bijection._carried_spines(steps)
+    emissions = []
+    while True:
+        assert list(right) == _terminal_matches(steps)[1][::-1], (word, steps)
+        saved = rebuilt_saved(steps, left) if rebuild else saved_by_definition(steps)
+        assert saved_as_lists(right) == saved, (word, steps)
+        if len(steps) <= 2:
+            break
+        steps, _, emitted, _, _ = bijection._inverse_step_core(steps, left, right)
+        emissions.append(emitted)
+    entries = [0]
+    for emitted in reversed(emissions):
+        entries.append(entries[-1] if emitted is None else emitted)
+    assert entries == measured_inverse_entries(word), word
+    return entries
+
+
+def test_saved_spines_by_definition_on_small_words():
+    # UDUUDDUD: the ground components UD and UUDD are left of the last;
+    # UUDUDDUD: inside the first component, the word UDUD has UD left of it
+    assert saved_by_definition("UDUUDDUD") == [[[0], [2, 3]]]
+    assert saved_by_definition("UUDUDDUD") == [[[0]], [[0, 3]]]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_carried_right_spines_after_every_inverse_step_on_every_path(n):
+    for steps in _iter_dyck_steps(n):
+        unwind_on_carried_right_spines(steps)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_carried_right_spines_after_every_inverse_step_at_2000_entries(seed):
+    # the images nest about 200 levels deep: the stack-walk definition
+    # checks the saved spines at the start, the rebuilt ones after that
+    entries = draw_member(random.Random(SEED + seed), 2000)
+    steps = forward(AscentSequence(entries)).steps
+    assert rebuilt_saved(steps, bijection._left_spine(steps)) == saved_by_definition(steps)
+    assert unwind_on_carried_right_spines(steps, rebuild=True) == list(entries)
+
+
+@pytest.mark.parametrize("steps", uniform_paths(), ids=lambda s: f"n{len(s) // 2}")
+def test_carried_right_spines_after_every_inverse_step_on_a_uniform_path(steps):
+    assert unwind_on_carried_right_spines(steps) == list(inverse(DyckPath(steps)).entries)
+
+
+@pytest.mark.parametrize("shape", ["pyramid", "member", "uniform"])
+def test_inverse_reads_every_key_downstep_off_a_spine_at_16k_entries(monkeypatch, shape):
+    # every case-4 step reads its rank off the carried right spine; a call
+    # without one would rescan the word from the terminal descent leftward
+    steps = {
+        "pyramid": lambda: "U" * 16_000 + "D" * 16_000,
+        "member": lambda: forward(AscentSequence(member_16k())).steps,
+        "uniform": lambda: draw_path(random.Random(5), 16_000),
+    }[shape]()
+    spines = []
+    keys = paths._key_downsteps
+
+    def counted(steps, spine=None, count=None):
+        spines.append(spine)
+        return keys(steps, spine, count)
+
+    monkeypatch.setattr(bijection, "_key_downsteps", counted)
+    cases = Counter()
+    core = bijection._inverse_step_core
+
+    def case_counted(steps, *carried):
+        stepped = core(steps, *carried)
+        cases[stepped[1]] += 1
+        return stepped
+
+    monkeypatch.setattr(bijection, "_inverse_step_core", case_counted)
+    assert len(inverse(DyckPath(steps))) == 16_000
+    assert None not in spines
+    assert len(spines) == cases[4] and (cases[4] > 0) == (shape != "pyramid")

@@ -9,7 +9,9 @@ runs them), and the two runs must give the same report, or raise the same
 exception, check by check.  So a rewrite that quietly weakens a check, or
 a shared walk that drifts from the standalone ones, fails here.  A second
 table breaks the left-spine rules that only ``inverse`` and
-``inverse_trace`` read, and pins how those unwindings end.
+``inverse_trace`` read, and pins how those unwindings end; a third, the
+right-spine rules they read, and a fourth, the right-spine rules that
+only ``forward`` and ``forward_step`` read.
 """
 
 import inspect
@@ -325,14 +327,13 @@ def unwinding_outcomes(unwind):
     return outcomes
 
 
-def install_spine_mutant(monkeypatch, mutant_id):
-    if mutant_id:
-        target, make, _, _ = SPINE_MUTANTS[mutant_id]
+def install_spine_mutant(monkeypatch, target=None, make=None):
+    if target:
         monkeypatch.setattr(bijection, target, make(getattr(bijection, target)))
     core = bijection._inverse_step_core
 
-    def guarded(steps, spine=None):
-        stepped = core(steps, spine)
+    def guarded(steps, *carried):
+        stepped = core(steps, *carried)
         if len(stepped[0]) != len(steps) - 2:
             raise Runaway(steps)
         return stepped
@@ -342,17 +343,60 @@ def install_spine_mutant(monkeypatch, mutant_id):
 
 @pytest.mark.parametrize("mutant_id", SPINE_MUTANTS)
 def test_spine_mutant_is_caught_by_inverse_and_inverse_trace(monkeypatch, mutant_id):
-    install_spine_mutant(monkeypatch, mutant_id)
-    by_inverse, by_trace = SPINE_MUTANTS[mutant_id][2:]
+    target, make, by_inverse, by_trace = SPINE_MUTANTS[mutant_id]
+    install_spine_mutant(monkeypatch, target, make)
     assert unwinding_outcomes(inverse) == by_inverse
     assert unwinding_outcomes(lambda p: inverse_trace(p).sequence) == by_trace
     assert by_inverse & {II, "wrong"} and by_trace & {II, "wrong"}
 
 
 def test_unmutated_spine_unwinds_every_member(monkeypatch):
-    install_spine_mutant(monkeypatch, None)
+    install_spine_mutant(monkeypatch)
     assert unwinding_outcomes(inverse) == {"ok"}
     assert unwinding_outcomes(lambda p: inverse_trace(p).sequence) == {"ok"}
+
+
+# Single-rule mutants of the right spine and the saved spines that only
+# ``inverse`` and ``inverse_trace`` carry (see the ``bijection`` module
+# docstring): of ``_right_spines``, which builds them, and of each update
+# ``_inverse_step_core`` makes to them.  The verify sweeps scan instead,
+# so only the unwindings can catch these, and a drift must end them as
+# ``InternalInvariant``, never as a wrong sequence, over the images of
+# every member of size <= 8.
+INVERSE_RIGHT_SPINE_MUTANTS = {
+    "ispine-build-stays-on-a-level": ("_right_spines", rewrite("level -= 1", "pass")),
+    "ispine-build-height-from-ground": ("_right_spines",
+                                       rewrite("(peak, top - h, h)", "(peak, top, h)")),
+    "ispine-build-bases-not-summed": ("_right_spines", rewrite("b += low or 0", "pass")),
+    "ispine-build-saves-the-last": ("_right_spines", rewrite("del components[-1:]", "pass")),
+    "ispine-case1-no-pop": ("_inverse_step_core", rewrite(
+        "right.ups.pop() + right.shift != i", "right.ups[-1] + right.shift != i")),
+    "ispine-case2-no-restore": ("_inverse_step_core",
+                                rewrite("right.saved.pop()", "right.saved[-1]")),
+    "ispine-case2-no-drop": ("_inverse_step_core", rewrite(
+        "right.ups.popleft() + right.shift", "right.ups[0] + right.shift")),
+    "ispine-case2-no-shift": ("_inverse_step_core", rewrite("right.shift -= 1", "pass")),
+    "ispine-case3-no-pop": ("_inverse_step_core", rewrite(
+        "right.expose(right.saved[-1].pop())", "right.expose(right.saved[-1][-1])")),
+    "ispine-case4-pops-one-short": ("_inverse_step_core",
+                                    rewrite("range(moved + 2)", "range(moved + 1)")),
+    "ispine-case4-no-shift": ("_inverse_step_core",
+                              rewrite("right.shift = shift = shift + moved", "pass")),
+    "ispine-case4-no-front": ("_inverse_step_core", rewrite("ups.extendleft(", "(")),
+    "ispine-case4-no-frame": ("_inverse_step_core", rewrite("right.saved.append([])", "pass")),
+    "ispine-case4-no-u0": ("_inverse_step_core", rewrite("ups.append(u0 - shift)", "pass")),
+    "ispine-case4-exposed-one-low": ("_inverse_step_core",
+                                     rewrite("x + u0 + 1 - shift", "x + u0 - shift")),
+    "ispine-case4-exposed-top-first": ("_inverse_step_core",
+                                       rewrite("reversed(exposed)", "exposed")),
+}
+
+
+@pytest.mark.parametrize("mutant_id", INVERSE_RIGHT_SPINE_MUTANTS)
+def test_inverse_right_spine_mutant_is_caught_by_inverse_and_inverse_trace(monkeypatch, mutant_id):
+    install_spine_mutant(monkeypatch, *INVERSE_RIGHT_SPINE_MUTANTS[mutant_id])
+    assert II in unwinding_outcomes(inverse) <= {II, "ok"}
+    assert II in unwinding_outcomes(lambda p: inverse_trace(p).sequence) <= {II, "ok"}
 
 
 # Single-rule mutants of the right spine, which only ``forward`` and
