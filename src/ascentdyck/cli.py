@@ -11,6 +11,7 @@ violation (including any verification failure).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,6 +42,7 @@ from .sequences import (
 from .verify import (
     DEFAULT_CAP,
     EXTENDED_CAP,
+    _PathWalk,
     _Sweep,
     check_bijectivity,
     check_characterization,
@@ -205,13 +207,17 @@ def _cmd_verify(args) -> int:
         )
     names = args.checks.split(",") if args.checks else list(_CHECKS)
     names = [name.strip() for name in names]
-    for name in names:
+    for i, name in enumerate(names):
         # every name is checked before the first sweep starts
         if name not in _CHECKS:
             raise InputError(
                 f"unknown check {name!r}; choose from {','.join(_CHECKS)}"
             )
+        if name in names[:i]:
+            raise InputError(f"check {name!r} is named more than once")
     sweep = _Sweep(names)  # one walk for the checks that share it
+    # and one path walk for counts and invariants when both run
+    paths = _PathWalk() if {"counts", "invariants"} <= set(names) else None
     reports = []
     for name in names:
         if name == "characterization":
@@ -220,6 +226,8 @@ def _cmd_verify(args) -> int:
             report = _CHECKS[name](min(args.n, 10), 6)
         else:
             shared = {"_sweep": sweep} if name in sweep.names else {}
+            if paths and name in ("counts", "invariants"):
+                shared["_paths"] = paths
             report = _CHECKS[name](args.n, cap=cap, **shared)
         reports.append(report)
         if not args.json:
@@ -238,6 +246,11 @@ def _cmd_render(args) -> int:
     return 0
 
 
+# built by the first main() call, not at import, and reused by every later
+# call in the process: parsing leaves the tree as it was, and each
+# set_defaults(func=...) names a module function that looks up _CHECKS and
+# the library at call time
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="ascentdyck",

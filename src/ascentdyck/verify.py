@@ -5,7 +5,8 @@ checks sweep every object up to a size cap (12 by default, 14 in
 extended mode) and report every witness of a violation.  All checks are
 deterministic and idempotent.  Called alone, each one owns an independent
 sweep, so they can be run, repeated, or split in any order; the command
-line's ``verify`` runs four of them over one shared walk (``_Sweep``).
+line's ``verify`` runs four of them over one shared walk (``_Sweep``), and
+counts and invariants over one shared path walk (``_PathWalk``).
 """
 
 from __future__ import annotations
@@ -284,7 +285,36 @@ def _fused(name: str, n: int, cap: int, sweep: _Sweep | None):
     return bad, sweep
 
 
-def check_counts(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
+class _PathWalk:
+    """One walk over the paths of one size, run by the first of counts and
+    invariants that asks for it: it checks invariants' case split and
+    counts the paths for counts.  It keeps its own witnesses, which
+    invariants adds after those of its family walk.  A walk that raises is
+    marked failed, and each check then walks on its own, so that every
+    report and every exception is the standalone one."""
+
+    def __init__(self):
+        self.failed = None  # None until run
+
+    def run(self, n: int) -> None:
+        self.bad = _Witnesses()
+        try:
+            self.paths = _case_split(n, self.bad)
+            self.failed = False
+        except Exception:
+            self.failed = True
+
+
+def _walked(n: int, shared: _PathWalk | None) -> _PathWalk | None:
+    # the shared path walk, run on first use; None if there is none or it failed
+    if shared is None:
+        return None
+    if shared.failed is None:
+        shared.run(n)
+    return None if shared.failed else shared
+
+
+def check_counts(n: int, cap: int = DEFAULT_CAP, *, _paths=None) -> VerifyReport:
     """Both enumerators against the Catalan recurrence."""
     _require_size(n, cap)
     bad = _Witnesses()
@@ -292,9 +322,11 @@ def check_counts(n: int, cap: int = DEFAULT_CAP) -> VerifyReport:
     # the sequences stay objects: this is verify's only run of the sequence
     # DFS and of AscentSequence validation, the two layers the benchmark's
     # verify-sweep predictions expect busy.  The paths are counted as the
-    # DFS's step words, without a DyckPath each
+    # DFS's step words, without a DyckPath each, or read off the case-split
+    # walk, which walks none at size 1
     nseq = sum(1 for _ in enumerate_021_avoiding(n))
-    npath = sum(1 for _ in _iter_dyck_steps(n))
+    walk = _walked(n, _paths) if n >= 2 else None
+    npath = walk.paths if walk else sum(1 for _ in _iter_dyck_steps(n))
     if nseq != expected:
         bad.add("sequence-count", str(n), f"got {nseq}, expected {expected}")
     if npath != expected:
@@ -338,12 +370,28 @@ def check_bijectivity(n: int, cap: int = DEFAULT_CAP, *, _sweep=None) -> VerifyR
     return bad.report("bijectivity", n, sweep.leaves, sweep.distinct)
 
 
-def check_invariants(n: int, cap: int = DEFAULT_CAP, *, _sweep=None) -> VerifyReport:
+def check_invariants(n: int, cap: int = DEFAULT_CAP, *, _sweep=None,
+                     _paths=None) -> VerifyReport:
     """Per-step structural guarantees of the forward construction (every
     edge leaves the shape the inverse classifies as the case it took, and
     every case-4 edge was handed the degree of elevation its parent word
     has), plus totality and mutual exclusivity of the inverse case split."""
     bad, sweep = _fused("invariants", n, cap, _sweep)
+    walk = _walked(n, _paths)
+    if walk:
+        for f in walk.bad.items:
+            bad.add(f.kind, f.witness, f.detail)
+        bad.total += walk.bad.total - len(walk.bad.items)
+        npath = walk.paths
+    else:
+        npath = _case_split(n, bad)
+    return bad.report("invariants", n, sweep.leaves, npath)
+
+
+def _case_split(n: int, bad: _Witnesses) -> int:
+    """Checks that the four case conditions pick exactly one case on every
+    path of size n >= 2, the one ``_classify`` picks; returns the number
+    of paths walked."""
     npath = 0
     if n >= 2:
         for steps in _iter_dyck_steps(n):
@@ -364,7 +412,7 @@ def check_invariants(n: int, cap: int = DEFAULT_CAP, *, _sweep=None) -> VerifyRe
                 bad.add("case-split", steps,
                         f"classified {_classify(steps, elevated)}, conditions say "
                         f"{truth.index(True) + 1}")
-    return bad.report("invariants", n, sweep.leaves, npath)
+    return npath
 
 
 _STAT_NAMES = (

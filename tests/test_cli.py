@@ -11,7 +11,7 @@ import pytest
 
 from ascentdyck import bijection, cli, verify
 from ascentdyck.cli import main
-from ascentdyck.errors import CapExceeded, InputError
+from ascentdyck.errors import CapExceeded, InputError, InternalInvariant
 
 from test_mutants import install
 from test_verify import no_sweep  # noqa: F401  (a fixture)
@@ -269,6 +269,14 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err.startswith("error: unknown check 'bogus'")
 
+    def test_repeated_check(self, capsys, no_sweep):
+        # a repeat would print its report twice and count its failures
+        # twice; it is refused before the first check runs
+        for checks in ("counts,counts", "roundtrip,counts,roundtrip"):
+            code, out, err = run_cli(capsys, "verify", "3", "--checks", checks)
+            assert (code, out) == (1, "")
+            assert err == f"error: check '{checks.split(',')[0]}' is named more than once\n"
+
 
 SIX = ("counts", "roundtrip", "bijectivity", "invariants", "statistics", "characterization")
 FUSED = SIX[1:5]
@@ -276,7 +284,6 @@ SELECTIONS = [
     ",".join(SIX),
     *(",".join(c) for k in range(1, 5) for c in combinations(FUSED, k)),
     ",".join(reversed(SIX)),
-    "roundtrip,roundtrip",
 ]
 
 
@@ -295,6 +302,7 @@ def verify_alone_and_shared(capsys, monkeypatch, *argv):
     shared = run_cli(capsys, "verify", *argv)
     with monkeypatch.context() as m:
         m.setattr(cli, "_Sweep", lambda names: verify._Sweep(()))
+        m.setattr(cli, "_PathWalk", lambda: None)
         alone = run_cli(capsys, "verify", *argv)
     return alone, shared
 
@@ -343,7 +351,7 @@ class TestVerifySharedWalk:
 
         def spy(name, check):
             def called(*args, **kwargs):
-                calls.append((name, kwargs.get("_sweep")))
+                calls.append((name, kwargs.get("_sweep"), kwargs.get("_paths")))
                 return check(*args, **kwargs)
 
             return called
@@ -351,11 +359,17 @@ class TestVerifySharedWalk:
         for name, check in list(cli._CHECKS.items()):
             monkeypatch.setitem(cli._CHECKS, name, spy(name, check))
         assert run_cli(capsys, "verify", "4", "--checks", checks)[0] == 0
-        assert [name for name, _ in calls] == checks.split(",")
+        assert [name for name, _, _ in calls] == checks.split(",")
         # the four share one sweep; counts and characterization get none
-        shared = [sweep for name, sweep in calls if name in FUSED]
+        shared = [sweep for name, sweep, _ in calls if name in FUSED]
         assert all(sweep is not None and sweep is shared[0] for sweep in shared)
-        assert all(sweep is None for name, sweep in calls if name not in FUSED)
+        assert all(sweep is None for name, sweep, _ in calls if name not in FUSED)
+        # counts and invariants share one path walk when both run
+        walks = [paths for name, _, paths in calls if name in ("counts", "invariants")]
+        both = len(walks) == 2
+        assert all((paths is not None) == both and paths is walks[0] for paths in walks)
+        assert all(paths is None for name, _, paths in calls
+                   if name not in ("counts", "invariants"))
 
     @pytest.mark.parametrize("mutant, code", [(None, 0), ("fwd-case4-moves-e-minus-1-upsteps", 2)])
     def test_a_clean_run_walks_once(self, capsys, monkeypatch, mutant, code):
@@ -396,6 +410,92 @@ class TestVerifySharedWalk:
         # so that no_sweep refuses the shared walk as it refuses each alone
         with pytest.raises(AssertionError, match="a sweep started"):
             getattr(verify, "check_" + names[0])(3, _sweep=verify._Sweep(names))
+
+
+PATH_WALKERS = ("counts,invariants", "invariants,counts", "invariants,roundtrip,counts")
+
+
+class TestVerifySharedPathWalk:
+    # counts and invariants share one walk over the paths on the command
+    # line; every output must read as if each ran alone
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("checks", PATH_WALKERS)
+    def test_json_matches_the_standalone_reports(self, capsys, n, checks):
+        code, out, _ = run_cli(capsys, "verify", str(n), "--checks", checks, "--json")
+        expected = standalone_reports(n, checks.split(","))
+        assert code == 0
+        assert timeless(json.loads(out)) == timeless(r.to_json() for r in expected)
+
+    @pytest.mark.parametrize("mutant", ["classify-peak-read-as-case-1",
+                                        "classify-long-ascent-from-3-steps",
+                                        "fwd-case2-appends-a-peak"])
+    @pytest.mark.parametrize("checks", PATH_WALKERS[:2])
+    def test_failures_read_the_same(self, capsys, monkeypatch, mutant, checks):
+        install(monkeypatch, mutant)
+        alone, shared = verify_alone_and_shared(capsys, monkeypatch, "7", "--checks", checks,
+                                                "--json")
+        assert shared[0] == alone[0] == 2
+        assert timeless(json.loads(shared[1])) == timeless(json.loads(alone[1]))
+
+    def test_witnesses_past_the_cap_read_the_same(self, capsys, monkeypatch):
+        # family-walk and case-split witnesses together overflow the kept
+        # 100: the shared walk's are appended as the check's own walk adds them
+        install(monkeypatch, "classify-peak-read-as-case-1")
+        argv = ("8", "--checks", "counts,invariants")
+        alone, shared = verify_alone_and_shared(capsys, monkeypatch, *argv, "--json")
+        report = json.loads(shared[1])[1]
+        kinds = [f["kind"] for f in report["failures"]]
+        assert len(kinds) == 100
+        assert kinds[0] != "case-split" and kinds[-1] == "case-split"
+        assert timeless(json.loads(shared[1])) == timeless(json.loads(alone[1]))
+        # the text form prints failures_total, which the JSON form leaves out
+        alone, shared = verify_alone_and_shared(capsys, monkeypatch, *argv)
+        assert "(first 100 kept)" in shared[1]
+        assert without_times(shared[1]) == without_times(alone[1])
+
+    @pytest.mark.parametrize("checks", PATH_WALKERS[:2])
+    def test_a_raising_path_walk_reads_the_same(self, capsys, monkeypatch, checks):
+        # counts does not meet the exception alone, so it counts on its own;
+        # invariants walks again and raises it
+        def refused(steps):
+            raise InternalInvariant("elevation refused")
+
+        monkeypatch.setattr(verify, "_is_elevated_steps", refused)
+        alone, shared = verify_alone_and_shared(capsys, monkeypatch, "5", "--checks", checks)
+        assert shared[0] == alone[0] == 2
+        assert without_times(shared[1]) == without_times(alone[1])
+        assert shared[2] == alone[2] == "internal invariant violation: elevation refused\n"
+
+    @pytest.mark.parametrize("checks, n, walks", [
+        ("counts,invariants", 6, 1), ("invariants,counts", 6, 1), (",".join(SIX), 6, 1),
+        # the case split walks no path at size 1, so counts walks its own
+        ("counts,invariants", 1, 1),
+        ("counts", 6, 1), ("invariants", 6, 1), ("counts,roundtrip", 6, 1),
+    ])
+    def test_the_paths_are_walked_once(self, capsys, monkeypatch, checks, n, walks):
+        walk, calls = verify._iter_dyck_steps, []
+        monkeypatch.setattr(verify, "_iter_dyck_steps",
+                            lambda size: calls.append(size) or walk(size))
+        assert run_cli(capsys, "verify", str(n), "--checks", checks)[0] == 0
+        assert calls == [n] * walks
+
+    def test_alone_each_check_walks_the_paths(self, monkeypatch):
+        walk, calls = verify._iter_dyck_steps, []
+        monkeypatch.setattr(verify, "_iter_dyck_steps",
+                            lambda size: calls.append(size) or walk(size))
+        verify.check_counts(6)
+        verify.check_invariants(6)
+        assert calls == [6, 6]
+
+    def test_the_path_walk_starts_after_the_entry_gate(self, no_sweep):
+        paths = verify._PathWalk()
+        for check in (verify.check_counts, verify.check_invariants):
+            with pytest.raises(InputError, match="size must be an int"):
+                check(3.0, _paths=paths)
+            with pytest.raises(CapExceeded):
+                check(20, cap=20, _paths=paths)
+        assert paths.failed is None  # the walk never ran
 
 
 class TestByteIdentity:
@@ -449,6 +549,71 @@ class TestRender:
         assert (code, out) == (1, "")
         assert err == ("error: a drawing of 4002 steps by 2000 rows is past the limit "
                        "of 8,000,000 cells\n")
+
+
+@pytest.fixture
+def fresh_parser():
+    # the first main() call after this builds the parser again
+    cli._build_parser.cache_clear()
+    yield
+    cli._build_parser.cache_clear()
+
+
+class TestSharedParser:
+    # main() builds its parser on the first call and reuses it after
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+            "import ascentdyck.cli\n"
+            "print(len(built))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+    def test_many_calls_build_one_parser(self, capsys, monkeypatch, fresh_parser):
+        init, built = cli._Parser.__init__, []
+        monkeypatch.setattr(cli._Parser, "__init__",
+                            lambda self, *a, **k: built.append(k.get("prog")) or
+                            init(self, *a, **k))
+        for _ in range(50):
+            assert run_cli(capsys, "map", "0,1,0") == (0, "UDUUDD\n", "")
+        # the top-level parser and one per subcommand
+        assert len(built) == 7 and built.count("ascentdyck") == 1
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_calls_read_as_on_a_fresh_parser(self, capsys, fresh_parser):
+        argvs = [
+            ("map", "0,1", "--format", "xml"),
+            ("map", "0,1,0,1,2,2,0,3"),
+            ("--help",),
+            ("--help",),
+            ("stats", "--seq", "0,1", "--path", "UD"),
+            ("stats", "--path", "UUDUUDUDUUDDDD"),
+        ]
+        shared = [run_cli(capsys, *argv) for argv in argvs]
+        assert cli._build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in argvs:
+            cli._build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [1, 0, 0, 0, 1, 0]
+        assert shared[2][1].startswith("usage: ascentdyck")
+
+    def test_a_check_patched_after_the_first_call_runs(self, capsys, monkeypatch):
+        assert run_cli(capsys, "verify", "2", "--checks", "counts")[0] == 0
+
+        def patched(n, cap):
+            raise InputError(f"patched counts at {n}")
+
+        monkeypatch.setitem(cli._CHECKS, "counts", patched)
+        assert run_cli(capsys, "verify", "2", "--checks", "counts") == (
+            1, "", "error: patched counts at 2\n")
 
 
 class TestHarness:

@@ -4,9 +4,10 @@ Each mutant breaks one rule of ``_forward_step_core``,
 ``_inverse_step_core``, ``sequences._grow`` or ``_classify``.  The table
 names the checks that catch it at size 8: the report fails, or the check
 raises.  Every mutant runs twice, once through each check alone and once
-through one shared sweep of all four (as ``verify`` on the command line
-runs them), and the two runs must give the same report, or raise the same
-exception, check by check.  So a rewrite that quietly weakens a check, or
+through one shared sweep of all four and one path walk shared by counts
+and invariants (as ``verify`` on the command line runs them), and the two
+runs must give the same report, or raise the same exception, check by
+check.  So a rewrite that quietly weakens a check, or
 a shared walk that drifts from the standalone ones, fails here.  A second
 table breaks the left-spine rules that only ``inverse`` and
 ``inverse_trace`` read, and pins how those unwindings end; a third, the
@@ -179,9 +180,15 @@ def install(monkeypatch, mutant_id):
 
 
 def standalone_and_shared(n):
+    # counts first, as verify runs it: it runs the path walk it shares
+    # with invariants
     alone = {name: outcome(CHECKS[name], n) for name in FUSED}
-    sweep = verify._Sweep(FUSED)
-    shared = {name: outcome(CHECKS[name], n, _sweep=sweep) for name in FUSED}
+    alone["counts"] = outcome(verify.check_counts, n)
+    sweep, paths = verify._Sweep(FUSED), verify._PathWalk()
+    shared = {"counts": outcome(verify.check_counts, n, _paths=paths)}
+    for name in FUSED:
+        walks = {"_paths": paths} if name == "invariants" else {}
+        shared[name] = outcome(CHECKS[name], n, _sweep=sweep, **walks)
     return alone, shared
 
 
@@ -189,7 +196,7 @@ def standalone_and_shared(n):
 def test_mutant_is_caught_by_exactly_its_checks(monkeypatch, mutant_id):
     install(monkeypatch, mutant_id)
     alone, shared = standalone_and_shared(N)
-    for name in FUSED:
+    for name in alone:
         a, b = alone[name], shared[name]
         if isinstance(a, Exception):
             assert (type(b), str(b)) == (type(a), str(a)), name
