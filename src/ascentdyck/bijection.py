@@ -146,32 +146,56 @@ the base.  Each step keeps the spine and the lists exact:
           its offset and goes back on top, and above it the matches that
           deleting the peak exposes: those of the downsteps between the
           new last peak and the mark, which lie inside the subtree from
-          u0 to the mark, so one scan of that subtree finds them.  For
-          moved > 0 the left spine pushes a pair for the elevated result,
-          and a new empty saved list, its frame, goes on top: the old top
-          list is the lowered word's.
+          u0 to the mark.  ``_match_down`` walks that subtree once, from
+          the mark left to u0, and collects them on the way: past the
+          subtree's terminal descent, each upstep that lifts the walk's
+          balance to a new high is one of them, top first.  For moved > 0
+          the left spine pushes a pair for the elevated result, and a new
+          empty saved list, its frame, goes on top: the old top list is
+          the lowered word's.
 
 Case 4 reads the mark's rank off the new spine, through
-``_key_downsteps``, so no step walks the word for matches beyond the
-subtree under u0.  Every offset that leaves the spine is checked against
-the word: the top popped by case 1 must be the deleted peak's upstep, the
-bottom dropped by case 2 must be 0 and the list it pops empty, case 3
-must find the spine of a ground peak, and the entries case 4 pops must be
-r and the ascent c0 .. u0 that ``_match_down`` and a walk left from u0
-find.
+``_key_downsteps``, so no step walks the word beyond the subtree under
+u0, and that subtree once.  Every offset that leaves the spine is checked
+against the word: the top popped by case 1 must be the deleted peak's
+upstep, the bottom dropped by case 2 must be 0 and the list it pops
+empty, case 3 must find the spine of a ground peak, and the entries case
+4 pops must be r and the ascent c0 .. u0 that the walk of
+``_match_down`` over the word and a walk left from u0 find.  The same
+walk gives the exposed matches pushed in their place, so they too are
+read off the word, not off the carried state.
+
+The map sends ascents to valleys, so case 3 emits the word's valley
+count (its DU factors) and case 4 that count less the mark's rank.  The
+inverse carries the count beside the right spine, set by one
+``str.count`` when the spines are built, instead of counting the word at
+every such step:
+
+  case 1  deletes the peak on top of a long last ascent: the upstep
+          below it meets the downstep after it as a new peak, and no DU
+          factor appears or goes.  The count stays;
+  case 2  strips the first and last steps, which are in no valley: it
+          stays;
+  case 3  deletes the final ground peak, which follows a downstep: its
+          valley goes, and the count falls by one;
+  case 4  deletes the last peak, which follows a downstep since the last
+          ascent is short: its valley goes.  Moving c0 .. u0 - 1 to the
+          front keeps every other valley, since u0 still follows the
+          downstep before c0, if any, and in front they join the first
+          ascent.  The count falls by one.
 
 ``inverse`` and ``inverse_trace`` carry the spines and check once per
 unwinding that they reached UD: the left spine as [[2, None]], as
-``forward`` checks its carried e, and the right spine as [0] with no saved
-spine left.  A drifted left spine can lower a word that is not elevated
-into one that is no Dyck path; the step cores do not validate their
-words, but case 1 raises ``InternalInvariant`` on a word with no UD
-factor rather than splicing it longer, and every step record raises it
-for a word that is no Dyck path.  A ``TypeError``, ``IndexError`` or
-``ValueError`` met while building or carrying the spines is raised again
-as ``InternalInvariant``.  ``inverse_step``, ``classify_inverse_case`` and
-the sweeps in ``verify`` scan instead, so they stay independent of the
-carried state.
+``forward`` checks its carried e, the right spine as [0] with no saved
+spine left, and the valley count as 0.  A drifted left spine can lower
+a word that is not elevated into one that is no Dyck path; the step
+cores do not validate their words, but case 1 raises
+``InternalInvariant`` on a word with no UD factor rather than splicing it
+longer, and every step record raises it for a word that is no Dyck path.
+A ``TypeError``, ``IndexError`` or ``ValueError`` met while building or
+carrying the spines is raised again as ``InternalInvariant``.
+``inverse_step``, ``classify_inverse_case`` and the sweeps in ``verify``
+scan instead, so they stay independent of the carried state.
 """
 
 from __future__ import annotations
@@ -330,14 +354,16 @@ class _RightSpine:
     The deque ``ups`` holds each offset less ``shift``.  The inverse also
     keeps in ``saved`` one list per left-spine level, bottom level first,
     of the spines of that level's ground components left of its last one,
-    each as (cell of its last peak, height, base) until case 3 exposes it."""
+    each as (cell of its last peak, height, base) until case 3 exposes it,
+    and in ``valleys`` the word's valley count."""
 
-    __slots__ = ("ups", "shift", "saved")
+    __slots__ = ("ups", "shift", "saved", "valleys")
 
     def __init__(self, offsets):
         self.ups = deque(offsets)
         self.shift = 0
         self.saved = None
+        self.valleys = None
 
     def expose(self, kept) -> None:
         # become a kept component's spine: its top ``height`` cells, each
@@ -663,9 +689,10 @@ def _inverse_step_core(steps: str, spine=None, right=None):
     rank are set only for case 4.  A ``spine``, the left spine of
     ``steps`` (see the module docstring), gives the elevation without a
     scan and is updated in place to the spine of new_path.  Beside it, a
-    ``right`` spine with its saved spines gives case 4 u0 and its key
-    downsteps without a scan of the word, and is updated in place too;
-    every offset leaving it is checked against the word.
+    ``right`` spine with its saved spines and valley count gives case 4
+    u0 and its key downsteps, and cases 3 and 4 the valley count, without
+    a scan of the word, and is updated in place too; every offset leaving
+    it is checked against the word.
     """
     elevated = None if spine is None else spine[-1][0] == len(steps)
     case_id = _classify(steps, elevated)
@@ -680,13 +707,17 @@ def _inverse_step_core(steps: str, spine=None, right=None):
                 raise InternalInvariant(f"carried right spine did not end at {i} on {steps}")
         return steps[:i] + steps[i + 2 :], 1, 0, None, None
     if case_id == 3:
-        if right is not None:
+        if right is None:
+            valleys = steps.count("DU")
+        else:
             if len(right.ups) != 1 or right.top != len(steps) - 2:
                 raise InternalInvariant(
                     f"carried right spine {list(right)} is not a ground peak's on {steps}"
                 )
             right.expose(right.saved[-1].pop())
-        return steps[:-2], 3, steps.count("DU"), None, None
+            valleys = right.valleys
+            right.valleys = valleys - 1
+        return steps[:-2], 3, valleys, None, None
     if case_id == 2:
         if spine is not None:
             top = spine[-1]
@@ -706,11 +737,17 @@ def _inverse_step_core(steps: str, spine=None, right=None):
     # last peak (the mark slides two places left), then move every upstep
     # preceding the mark's matching upstep in its ascent to the front,
     # making the mark a key downstep of the result
-    valleys = steps.count("DU")
     r = steps.rfind(UP)
     shorter = steps[:r] + steps[r + 2 :]
     mark0 = r
-    u0 = _match_down(shorter, mark0)
+    if right is None:
+        valleys = steps.count("DU")
+        u0 = _match_down(shorter, mark0)
+    else:
+        valleys = right.valleys
+        right.valleys -= 1
+        exposed: list[int] = []
+        u0 = _match_down(shorter, mark0, exposed)
     c0 = u0
     while c0 and shorter[c0 - 1] == UP:
         c0 -= 1
@@ -731,8 +768,7 @@ def _inverse_step_core(steps: str, spine=None, right=None):
             ups.extendleft(range(moved - 1 - shift, -1 - shift, -1))
             right.saved.append([])
         ups.append(u0 - shift)
-        exposed = _terminal_matches(shorter[u0 + 1 : mark0])[1]
-        ups.extend([x + u0 + 1 - shift for x in reversed(exposed)])
+        ups.extend([x - shift for x in reversed(exposed)])
     # kept as a branch: one splice for every count unwound n=11 4.7 % slower
     if moved:
         new = UP * moved + shorter[:c0] + shorter[u0:]
@@ -778,16 +814,18 @@ def inverse_step(P: DyckPath) -> InverseStepRecord:
 
 
 def _carried_spines(steps: str) -> tuple[list[list], _RightSpine]:
-    # the left spine and the right spine with its saved spines, which
-    # ``inverse`` and ``inverse_trace`` carry
+    # the left spine and the right spine with its saved spines and the
+    # word's valley count, which ``inverse`` and ``inverse_trace`` carry
     left = _left_spine(steps)
-    return left, _right_spines(steps, left)
+    right = _right_spines(steps, left)
+    right.valleys = steps.count("DU")
+    return left, right
 
 
 def _assert_carried_spines(left, right) -> None:
     # a left spine that drifted from the word's own would read a later
     # case 2 as case 4 or the other way round; a right spine or a saved
-    # one, a later key downstep's rank
+    # one, a later key downstep's rank; a valley count, a later entry
     if left != [[2, None]]:
         raise InternalInvariant(f"carried left spine {left} at UD, not [[2, None]]")
     if list(right) != [0] or right.saved != [[]]:
@@ -795,6 +833,8 @@ def _assert_carried_spines(left, right) -> None:
             f"carried right spine {list(right)} with {sum(map(len, right.saved))} saved "
             f"spines on {len(right.saved)} levels at UD, not [0] with none on 1"
         )
+    if right.valleys != 0:
+        raise InternalInvariant(f"carried valley count {right.valleys} at UD, not 0")
 
 
 def _carried_fault(steps: str, exc: Exception) -> InternalInvariant:

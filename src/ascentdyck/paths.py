@@ -221,14 +221,32 @@ def degree_of_elevation(p: DyckPath) -> int | None:
     return _degree_of_elevation(_steps_of(p))
 
 
-def _match_down(steps: str, d0: int) -> int:
+def _match_down(steps: str, d0: int, exposed: list[int] | None = None) -> int:
     # 0-based offset of the upstep matching the downstep at 0-based d0:
-    # the nearest point to the left where the enclosed word balances
+    # the nearest point to the left where the enclosed word balances.
+    # An ``exposed`` list is filled on the way with the matches of the
+    # enclosed word's terminal downsteps, top first, as offsets in
+    # ``steps``: past that word's terminal descent, the walk reaches each
+    # balance from there up to 0 first on the match of one of them, so
+    # every upstep that lifts the balance to a new high is one
     bal = -1
-    for k in range(d0 - 1, -1, -1):
-        bal += 1 if steps[k] == UP else -1
-        if bal == 0:
-            return k
+    if exposed is None:
+        for k in range(d0 - 1, -1, -1):
+            bal += 1 if steps[k] == UP else -1
+            if bal == 0:
+                return k
+    else:
+        high = -1 - d0
+        for k in range(d0 - 1, -1, -1):
+            if steps[k] == UP:
+                bal += 1
+                if bal > high:
+                    if bal == 0:
+                        return k
+                    high = bal
+                    exposed.append(k)
+            else:
+                bal -= 1
     raise InternalInvariant("downstep without a matching upstep")
 
 

@@ -381,14 +381,16 @@ def rebuilt_saved(steps: str, left) -> list[list[list[int]]]:
 
 def unwind_on_carried_right_spines(steps: str, rebuild: bool = False) -> list[int]:
     """The carried unwinding, with its right spine checked after every
-    step against the matches scanned on the word and its saved spines
-    against their definition, or with ``rebuild`` against the rebuilt
-    ones, and the entries against the scanning unwinding's."""
+    step against the matches scanned on the word, its valley count against
+    the word's, and its saved spines against their definition, or with
+    ``rebuild`` against the rebuilt ones, and the entries against the
+    scanning unwinding's."""
     word = steps
     left, right = bijection._carried_spines(steps)
     emissions = []
     while True:
         assert list(right) == _terminal_matches(steps)[1][::-1], (word, steps)
+        assert right.valleys == steps.count("DU"), (word, steps)
         saved = rebuilt_saved(steps, left) if rebuild else saved_by_definition(steps)
         assert saved_as_lists(right) == saved, (word, steps)
         if len(steps) <= 2:
@@ -407,6 +409,23 @@ def test_saved_spines_by_definition_on_small_words():
     # UUDUDDUD: inside the first component, the word UDUD has UD left of it
     assert saved_by_definition("UDUUDDUD") == [[[0], [2, 3]]]
     assert saved_by_definition("UUDUDDUD") == [[[0]], [[0, 3]]]
+
+
+def test_case4_walk_finds_u0_and_the_exposed_matches_on_every_path():
+    # the carried case 4 reads u0 and the matches exposed under it off one
+    # walk: the same u0 as the plain walk, and the subtree's terminal
+    # matches in the word's offsets
+    for n in range(2, 11):
+        for steps in _iter_dyck_steps(n):
+            if bijection._classify(steps) != 4:
+                continue
+            r = steps.rfind("U")
+            shorter = steps[:r] + steps[r + 2 :]
+            exposed = []
+            u0 = paths._match_down(shorter, r, exposed)
+            assert u0 == paths._match_down(shorter, r), steps
+            subtree = _terminal_matches(shorter[u0 + 1 : r])[1]
+            assert exposed == [x + u0 + 1 for x in subtree], steps
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -432,8 +451,10 @@ def test_carried_right_spines_after_every_inverse_step_on_a_uniform_path(steps):
 
 @pytest.mark.parametrize("shape", ["pyramid", "member", "uniform"])
 def test_inverse_reads_every_key_downstep_off_a_spine_at_16k_entries(monkeypatch, shape):
-    # every case-4 step reads its rank off the carried right spine; a call
-    # without one would rescan the word from the terminal descent leftward
+    # every case-4 step reads its rank off the carried right spine, and u0
+    # and the matches exposed under it off one ``_match_down`` walk; a call
+    # without a spine would rescan the word from the terminal descent
+    # leftward, and a terminal-match scan would walk the subtree again
     steps = {
         "pyramid": lambda: "U" * 16_000 + "D" * 16_000,
         "member": lambda: forward(AscentSequence(member_16k())).steps,
@@ -447,6 +468,14 @@ def test_inverse_reads_every_key_downstep_off_a_spine_at_16k_entries(monkeypatch
         return keys(steps, spine, count)
 
     monkeypatch.setattr(bijection, "_key_downsteps", counted)
+    calls = Counter()
+    for name in ("_terminal_matches", "_match_down"):
+        def tallied(*args, _fn=getattr(paths, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(paths, name, tallied)
+        monkeypatch.setattr(bijection, name, tallied)
     cases = Counter()
     core = bijection._inverse_step_core
 
@@ -459,3 +488,5 @@ def test_inverse_reads_every_key_downstep_off_a_spine_at_16k_entries(monkeypatch
     assert len(inverse(DyckPath(steps))) == 16_000
     assert None not in spines
     assert len(spines) == cases[4] and (cases[4] > 0) == (shape != "pyramid")
+    assert calls["_terminal_matches"] == 0
+    assert calls["_match_down"] == cases[4]

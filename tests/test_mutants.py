@@ -11,8 +11,8 @@ check.  So a rewrite that quietly weakens a check, or
 a shared walk that drifts from the standalone ones, fails here.  A second
 table breaks the left-spine rules that only ``inverse`` and
 ``inverse_trace`` read, and pins how those unwindings end; a third, the
-right-spine rules they read, and a fourth, the right-spine rules that
-only ``forward`` and ``forward_step`` read.
+right-spine and valley-count rules they read, and a fourth, the
+right-spine rules that only ``forward`` and ``forward_step`` read.
 """
 
 import inspect
@@ -363,10 +363,12 @@ def test_unmutated_spine_unwinds_every_member(monkeypatch):
     assert unwinding_outcomes(lambda p: inverse_trace(p).sequence) == {"ok"}
 
 
-# Single-rule mutants of the right spine and the saved spines that only
-# ``inverse`` and ``inverse_trace`` carry (see the ``bijection`` module
-# docstring): of ``_right_spines``, which builds them, and of each update
-# ``_inverse_step_core`` makes to them.  The verify sweeps scan instead,
+# Single-rule mutants of the right spine, the saved spines and the valley
+# count that only ``inverse`` and ``inverse_trace`` carry (see the
+# ``bijection`` module docstring): of ``_right_spines`` and
+# ``_carried_spines``, which build them, of each update
+# ``_inverse_step_core`` makes to them, and of the ``_match_down`` walk
+# that finds case 4's exposed matches.  The verify sweeps scan instead,
 # so only the unwindings can catch these, and a drift must end them as
 # ``InternalInvariant``, never as a wrong sequence, over the images of
 # every member of size <= 8.
@@ -393,9 +395,23 @@ INVERSE_RIGHT_SPINE_MUTANTS = {
     "ispine-case4-no-frame": ("_inverse_step_core", rewrite("right.saved.append([])", "pass")),
     "ispine-case4-no-u0": ("_inverse_step_core", rewrite("ups.append(u0 - shift)", "pass")),
     "ispine-case4-exposed-one-low": ("_inverse_step_core",
-                                     rewrite("x + u0 + 1 - shift", "x + u0 - shift")),
+                                     rewrite("x - shift for", "x - 1 - shift for")),
     "ispine-case4-exposed-top-first": ("_inverse_step_core",
                                        rewrite("reversed(exposed)", "exposed")),
+    "ispine-walk-drops-the-bottom-match": ("_match_down", rewrite(
+        "exposed.append(k)", "bal < -1 and exposed.append(k)")),
+    "ispine-walk-shifts-the-bottom-match": ("_match_down", rewrite(
+        "exposed.append(k)", "exposed.append(k - (bal == -1))")),
+    "valleys-build-one-high": ("_carried_spines",
+                               rewrite('steps.count("DU")', 'steps.count("DU") + 1')),
+    "valleys-case1-lowers": ("_inverse_step_core", rewrite(
+        "return steps[:i] + steps[i + 2 :], 1,",
+        "right.valleys -= 1; return steps[:i] + steps[i + 2 :], 1,")),
+    "valleys-case2-lowers": ("_inverse_step_core", rewrite(
+        "right.shift -= 1", "right.shift -= 1; right.valleys -= 1")),
+    "valleys-case3-keeps": ("_inverse_step_core",
+                            rewrite("right.valleys = valleys - 1", "pass")),
+    "valleys-case4-keeps": ("_inverse_step_core", rewrite("right.valleys -= 1", "pass")),
 }
 
 

@@ -269,10 +269,18 @@ class TestMatching:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_against_stack_pairing(self, n):
-        # independent oracle: one-pass stack pairing of the whole word
+        # independent oracle: one-pass stack pairing of the whole word.  An
+        # ``exposed`` list gets the matches of the enclosed word's terminal
+        # downsteps, top first: those from just after its last upstep to d - 1
         for p in enumerate_dyck_paths(n):
-            for d, u in stack_matching(p.steps).items():
+            pairs = stack_matching(p.steps)
+            for d, u in pairs.items():
                 assert _match_down(p.steps, d - 1) == u - 1
+                last_up = p.steps.rfind(UP, u, d - 1) + 1
+                want = [pairs[t] - 1 for t in range(last_up + 1, d)] if last_up > u else []
+                exposed = []
+                assert _match_down(p.steps, d - 1, exposed) == u - 1
+                assert exposed == want, (p.steps, d)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_nesting(self, n):
