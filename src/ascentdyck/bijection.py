@@ -716,7 +716,7 @@ def _inverse_step_core(steps: str, spine=None, right=None):
                 )
             right.expose(right.saved[-1].pop())
             valleys = right.valleys
-            right.valleys = valleys - 1
+            right.valleys -= 1
         return steps[:-2], 3, valleys, None, None
     if case_id == 2:
         if spine is not None:

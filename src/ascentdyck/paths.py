@@ -230,23 +230,18 @@ def _match_down(steps: str, d0: int, exposed: list[int] | None = None) -> int:
     # balance from there up to 0 first on the match of one of them, so
     # every upstep that lifts the balance to a new high is one
     bal = -1
-    if exposed is None:
-        for k in range(d0 - 1, -1, -1):
-            bal += 1 if steps[k] == UP else -1
-            if bal == 0:
-                return k
-    else:
-        high = -1 - d0
-        for k in range(d0 - 1, -1, -1):
-            if steps[k] == UP:
-                bal += 1
-                if bal > high:
-                    if bal == 0:
-                        return k
-                    high = bal
+    high = -1 - d0
+    for k in range(d0 - 1, -1, -1):
+        if steps[k] == UP:
+            bal += 1
+            if bal > high:
+                if bal == 0:
+                    return k
+                high = bal
+                if exposed is not None:
                     exposed.append(k)
-            else:
-                bal -= 1
+        else:
+            bal -= 1
     raise InternalInvariant("downstep without a matching upstep")
 
 

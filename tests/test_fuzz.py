@@ -38,6 +38,7 @@ from ascentdyck.paths import (
     _terminal_matches,
 )
 from ascentdyck.sequences import _ROOT, _grow, _iter_021_entries
+from conftest import stack_matching
 
 SEED = 20140
 MEMBERS = 80
@@ -413,7 +414,7 @@ def test_saved_spines_by_definition_on_small_words():
 
 def test_case4_walk_finds_u0_and_the_exposed_matches_on_every_path():
     # the carried case 4 reads u0 and the matches exposed under it off one
-    # walk: the same u0 as the plain walk, and the subtree's terminal
+    # walk: the mark's match by stack pairing, and the subtree's terminal
     # matches in the word's offsets
     for n in range(2, 11):
         for steps in _iter_dyck_steps(n):
@@ -423,7 +424,7 @@ def test_case4_walk_finds_u0_and_the_exposed_matches_on_every_path():
             shorter = steps[:r] + steps[r + 2 :]
             exposed = []
             u0 = paths._match_down(shorter, r, exposed)
-            assert u0 == paths._match_down(shorter, r), steps
+            assert u0 == stack_matching(shorter)[r + 1] - 1, steps
             subtree = _terminal_matches(shorter[u0 + 1 : r])[1]
             assert exposed == [x + u0 + 1 for x in subtree], steps
 

@@ -409,9 +409,10 @@ INVERSE_RIGHT_SPINE_MUTANTS = {
         "right.valleys -= 1; return steps[:i] + steps[i + 2 :], 1,")),
     "valleys-case2-lowers": ("_inverse_step_core", rewrite(
         "right.shift -= 1", "right.shift -= 1; right.valleys -= 1")),
-    "valleys-case3-keeps": ("_inverse_step_core",
-                            rewrite("right.valleys = valleys - 1", "pass")),
-    "valleys-case4-keeps": ("_inverse_step_core", rewrite("right.valleys -= 1", "pass")),
+    "valleys-case3-keeps": ("_inverse_step_core", rewrite(
+        "right.valleys -= 1\n        return steps[:-2], 3,", "pass\n        return steps[:-2], 3,")),
+    "valleys-case4-keeps": ("_inverse_step_core", rewrite(
+        "right.valleys -= 1\n        exposed", "pass\n        exposed")),
 }
 
 
