@@ -77,62 +77,53 @@ only reveals that an entry repeats its left neighbour; those placeholders
 are resolved once the unwinding reaches UD.
 
 Only the test for elevation, which tells case 2 from case 4, needs more
-than the end of the word, so ``inverse`` carries the word's left spine
-instead of scanning the word at every step.  The spine is a stack of
-[end, low] pairs.  The top pair holds the end offset of the word's first
-ground component and the height of that component's lowest inner valley
-(None for a pyramid).  Each pair below holds the same for the word inside
-the component above it, lowered by that component's low, in that word's
-own offsets; a component is U^low W D^low with W not elevated, since no
-vertex inside it lies below its lowest valley.  The word is elevated
-exactly when the top end equals its length.  One left-to-right scan
-builds the spine, and each step keeps it exact in constant time:
+than the end of the word to classify it, and case 4 needs u0, the match
+of the mark, and the key downsteps of the word it leaves, which it ranks
+the mark among.  So ``inverse`` carries the word's right spine instead of
+scanning the word at every step, in the deque and shift that ``forward``
+uses.  Its bottom entry is the upstep that opens the word's last ground
+component, so the word is elevated exactly when that entry is 0: an
+elevated word is one ground component, which starts at 0, and a word of
+two or more ground components starts its last one past the first, so
+past 0.
 
-  case 1  deletes the peak at the top of the last ascent; that ascent and
-          the terminal descent both keep a step, so no valley appears or
-          goes.  The peak lies in the first component only when that is
-          the whole word (case 1 keeps the elevation), whose end then
-          falls by 2.  The words below lose the peak from their last
-          components, which are not their first, so every other pair
-          stays.
-  case 2  lowers the word, its only component: the end falls by 2 and the
-          low by 1, unless the low was 1, when the lowered word is the one
-          the pair below describes and the top pair is popped.
-  case 3  deletes a ground peak UD after the first component: no change.
-  case 4  returns the word P that forward case 4 grew, and the count
-          ``moved`` of upsteps it moves back to the front is P's degree of
-          elevation, since forward case 4 moved exactly e upsteps into an
-          ascent starting at u0 (checked over all 82,498 inverse steps of
-          the paths of size 2 to 11).  P lowered by e has a valley at
-          ground, so it has two or more ground components, and the key
-          downstep, its matching upstep u0 and the new peak all lie in its
-          last one.  For moved > 0 the old word is that lowered word with
-          these edits, so its stack stays below a pushed pair [len(P),
-          moved]; for moved = 0 P is the old word with these edits undone,
-          and nothing changes.
-
-Inverse case 4 also needs u0, the match of the mark, and the key
-downsteps of the word it leaves, which it ranks the mark among.  So the
-inverse carries the word's right spine too, in the deque and shift that
-``forward`` uses, and beside it one saved list per left-spine level,
+Beside the spine the inverse keeps one saved list per level of the word,
 bottom level first: the right spines of that level's ground components
-left of its last one.  One left-to-right scan builds them all.  It conses
-a cell (offset, cell below) for every upstep, so the cell of a
-component's last peak heads the upsteps open there, and a saved spine is
-that cell with the component's height and its level's base.  A level's
-word starts at offset ``base`` of the whole word, and no step moves a
-component left of a level's last within that level's word, so a saved
-spine stays exact in the level word's offsets, its cells' offsets less
-the base.  Each step keeps the spine and the lists exact:
+left of its last one.  Level 0 is the word.  The first ground component
+of level j is U^low W D^low, with low the height of its lowest inner
+valley above the level's ground, and level j + 1 is W: no vertex inside
+the component lies below that valley, and W has one at its own ground,
+so W has two or more ground components.  The levels end at a first
+component with no inner valley, a pyramid.  Level j's word starts at its
+``base``, the sum of the lows above it, as an offset of the whole word
+and as a height.  A case-2 step lowers the word into the level below
+exactly when the lowered word's bottom entry is not 0.  Case 2 never
+meets a pyramid, whose long last ascent makes it case 1, so the elevated
+word is U^low W D^low with W its level 1 and low >= 1.  Lowered by one it
+is U^(low - 1) W D^(low - 1): for low > 1 still elevated, with the same
+levels below it, and for low = 1 the word W, which is not elevated.
+
+One left-to-right scan builds the spine and the lists.  Past the first
+peak, at height h, the path first comes back down to each height b < h
+where the component that starts at offset b ends, and the lowest valley
+seen by then is that component's lowest inner valley: the next base when
+b is one.  Each later return to b before the path goes lower closes the
+next ground component of the word at height b.  The scan conses a cell
+(offset, cell below) for every upstep, so the cell of a component's last
+peak heads the upsteps open there, and a saved spine is that cell with
+the component's height and its level's base.  No step moves a component
+left of a level's last within that level's word, so a saved spine stays
+exact in the level word's offsets, its cells' offsets less the base.
+Each step keeps the spine and the lists exact:
 
   case 1  deletes the peak whose upstep i is the spine's top: pop it.  The
           last ascent was long, so the new last peak's upstep i - 1 was
-          the entry below.  No ground component but the last changes.
+          the entry below.  The peak lies in the last ground component of
+          every level that holds it, so no saved spine changes.
   case 2  lowers the word: drop the bottom entry 0 and lower the rest by
-          one, through the shift, in O(1).  When the left spine pops its
-          top pair, the lowered word is the level below, whose saved list
-          becomes the top one; the list popped was empty, since an
-          elevated word is one component.
+          one, through the shift, in O(1).  When the lowered word is the
+          level below, its saved list becomes the top one; the list
+          popped was empty, since an elevated word is one component.
   case 3  deletes the ground peak that is the last component, so the
           spine was that peak's upstep alone; the component before it is
           now the last, and its saved spine, popped from the top list,
@@ -149,26 +140,34 @@ the base.  Each step keeps the spine and the lists exact:
           u0 to the mark.  ``_match_down`` walks that subtree once, from
           the mark left to u0, and collects them on the way: past the
           subtree's terminal descent, each upstep that lifts the walk's
-          balance to a new high is one of them, top first.  For moved > 0
-          the left spine pushes a pair for the elevated result, and a new
-          empty saved list, its frame, goes on top: the old top list is
-          the lowered word's.
+          balance to a new high is one of them, top first.  The step
+          returns the word P that forward case 4 grew, and ``moved`` is
+          P's degree of elevation, since forward case 4 moved exactly e
+          upsteps into an ascent starting at u0 (checked over all 82,498
+          inverse steps of the paths of size 2 to 11).  P lowered by
+          moved has a valley at ground, so it has two or more ground
+          components, and the key downstep, u0 and the new peak all lie
+          in its last one.  For moved > 0 that lowered word is P's level
+          1, and the old word is it with these edits, so a new empty
+          saved list, P's own, goes on top of the old word's; for
+          moved = 0 P is the old word with these edits undone, and no
+          list changes.
 
 Case 4 reads the mark's rank off the new spine, through
 ``_key_downsteps``, so no step walks the word beyond the subtree under
 u0, and that subtree once.  Every offset that leaves the spine is checked
 against the word: the top popped by case 1 must be the deleted peak's
-upstep, the bottom dropped by case 2 must be 0 and the list it pops
-empty, case 3 must find the spine of a ground peak, and the entries case
-4 pops must be r and the ascent c0 .. u0 that the walk of
-``_match_down`` over the word and a walk left from u0 find.  The same
-walk gives the exposed matches pushed in their place, so they too are
-read off the word, not off the carried state.
+upstep, the list case 2 pops must be empty (the bottom entry it drops is
+0, as the step's elevation test read it), case 3 must find the spine of
+a ground peak, and the entries case 4 pops must be r and the ascent
+c0 .. u0 that the walk of ``_match_down`` over the word and a walk left
+from u0 find.  The same walk gives the exposed matches pushed in their
+place, so they too are read off the word, not off the carried state.
 
 The map sends ascents to valleys, so case 3 emits the word's valley
 count (its DU factors) and case 4 that count less the mark's rank.  The
 inverse carries the count beside the right spine, set by one
-``str.count`` when the spines are built, instead of counting the word at
+``str.count`` when the spine is built, instead of counting the word at
 every such step:
 
   case 1  deletes the peak on top of a long last ascent: the upstep
@@ -184,16 +183,16 @@ every such step:
           downstep before c0, if any, and in front they join the first
           ascent.  The count falls by one.
 
-``inverse`` and ``inverse_trace`` carry the spines and check once per
-unwinding that they reached UD: the left spine as [[2, None]], as
-``forward`` checks its carried e, the right spine as [0] with no saved
-spine left, and the valley count as 0.  A drifted left spine can lower
-a word that is not elevated into one that is no Dyck path; the step
-cores do not validate their words, but case 1 raises
-``InternalInvariant`` on a word with no UD factor rather than splicing it
-longer, and every step record raises it for a word that is no Dyck path.
+``inverse`` and ``inverse_trace`` carry the spine and check once per
+unwinding that it reached UD, as ``forward`` checks its carried e: the
+right spine as [0] with no saved spine left, and the valley count as 0.
+A drifted spine can read a word as elevated that is not, and case 2 then
+lowers it into a word that is no Dyck path; the step cores do not
+validate their words, but case 1 raises ``InternalInvariant`` on a word
+with no UD factor rather than splicing it longer, and every step record
+raises it for a word that is no Dyck path.
 A ``TypeError``, ``IndexError`` or ``ValueError`` met while building or
-carrying the spines is raised again as ``InternalInvariant``.
+carrying the spine is raised again as ``InternalInvariant``.
 ``inverse_step``, ``classify_inverse_case`` and the sweeps in ``verify``
 scan instead, so they stay independent of the carried state.
 """
@@ -352,7 +351,7 @@ class InverseTrace(_Record):
 class _RightSpine:
     """The right spine of a word (see the module docstring), bottom first.
     The deque ``ups`` holds each offset less ``shift``.  The inverse also
-    keeps in ``saved`` one list per left-spine level, bottom level first,
+    keeps in ``saved`` one list per level of the word, bottom level first,
     of the spines of that level's ground components left of its last one,
     each as (cell of its last peak, height, base) until case 3 exposes it,
     and in ``valleys`` the word's valley count."""
@@ -605,106 +604,25 @@ def classify_inverse_case(P: DyckPath) -> int:
     return _classify(steps)
 
 
-def _left_spine(steps: str) -> list[list]:
-    # the left spine of a word (see the module docstring) in one scan.
-    # Past the first peak, at height h, the path first comes back down to
-    # each height b < h where the first ground component of the word
-    # lowered by b ends, and the lowest valley seen by then is that
-    # component's lowest inner valley; all of them are seen by the first
-    # return to ground.
-    h = steps.find(DOWN)
-    returns: list = [None] * h
-    bal = floor = h
-    lowest = None
-    for k in range(h, len(steps)):
-        if steps[k] == UP:
-            if steps[k - 1] == DOWN and (lowest is None or bal < lowest):
-                lowest = bal
-            bal += 1
-        else:
-            bal -= 1
-            if bal < floor:
-                floor = bal
-                returns[bal] = (k + 1, lowest)
-                if not bal:
-                    break
-    spine = []
-    b = 0
-    while b is not None:
-        end, low = returns[b]
-        spine.append([end - b, None if low is None else low - b])
-        b = low
-    spine.reverse()
-    return spine
-
-
-def _right_spines(steps: str, left: list[list]) -> _RightSpine:
-    # the right spine of a word and its saved spines (see the module
-    # docstring) in one left-to-right scan.  Level j of the left spine is
-    # the word starting at height ``bases[j]``; the scan leaves it when it
-    # first goes below that height, and each return to it closes one of
-    # its ground components, whose spine is kept as its last peak's cell
-    bases = []
-    b = 0
-    for _, low in reversed(left):
-        bases.append(b)
-        b += low or 0
-    closed: list[list] = [[] for _ in bases]
-    level = len(bases) - 1
-    base = bases[level]
-    cell = peak = None
-    h = top = 0
-    prev = DOWN
-    for k, c in enumerate(steps):
-        if c == UP:
-            cell = (k, cell)
-            h += 1
-        else:
-            if prev == UP:
-                peak, top = cell, h
-            cell = cell[1]
-            h -= 1
-            if h < base:
-                level -= 1
-                base = bases[level]
-            if h == base:
-                closed[level].append((peak, top - h, h))
-        prev = c
-    # each level's last component is carried, not saved: the whole word's
-    # in the spine itself, a lower level's inside the level above it
-    right = _RightSpine(())
-    right.expose(closed[0].pop())
-    for components in closed[1:]:
-        del components[-1:]
-    closed.reverse()
-    right.saved = closed
-    return right
-
-
-def _inverse_step_core(steps: str, spine=None, right=None):
+def _inverse_step_core(steps: str, right=None):
     """One unwinding step on a raw step word.
 
     Returns (new_path, case_id, emitted, mark_offset, rank) where emitted
     is None for case 2, and mark_offset (0-based, in the new path) and
-    rank are set only for case 4.  A ``spine``, the left spine of
-    ``steps`` (see the module docstring), gives the elevation without a
-    scan and is updated in place to the spine of new_path.  Beside it, a
-    ``right`` spine with its saved spines and valley count gives case 4
-    u0 and its key downsteps, and cases 3 and 4 the valley count, without
-    a scan of the word, and is updated in place too; every offset leaving
-    it is checked against the word.
+    rank are set only for case 4.  A ``right`` spine of ``steps`` with
+    its saved spines and valley count (see the module docstring) gives
+    the elevation, case 4 u0 and its key downsteps, and cases 3 and 4 the
+    valley count, without a scan of the word, and is updated in place to
+    that of new_path; every offset leaving it is checked against the word.
     """
-    elevated = None if spine is None else spine[-1][0] == len(steps)
+    elevated = None if right is None else right.ups[0] + right.shift == 0
     case_id = _classify(steps, elevated)
     if case_id == 1:
         i = steps.rfind("UD")
         if i < 0:
             raise InternalInvariant(f"case 1 on {steps}, which has no UD factor")
-        if elevated is not None:
-            if elevated:
-                spine[-1][0] -= 2
-            if right is not None and right.ups.pop() + right.shift != i:
-                raise InternalInvariant(f"carried right spine did not end at {i} on {steps}")
+        if right is not None and right.ups.pop() + right.shift != i:
+            raise InternalInvariant(f"carried right spine did not end at {i} on {steps}")
         return steps[:i] + steps[i + 2 :], 1, 0, None, None
     if case_id == 3:
         if right is None:
@@ -719,19 +637,12 @@ def _inverse_step_core(steps: str, spine=None, right=None):
             right.valleys -= 1
         return steps[:-2], 3, valleys, None, None
     if case_id == 2:
-        if spine is not None:
-            top = spine[-1]
-            if top[1] == 1:
-                spine.pop()
-                if right is not None and right.saved.pop():
-                    raise InternalInvariant(f"saved spines left in the elevated word {steps}")
-            else:
-                top[0] -= 2
-                top[1] -= 1
-            if right is not None:
-                if right.ups.popleft() + right.shift:
-                    raise InternalInvariant(f"carried right spine did not start at 0 on {steps}")
-                right.shift -= 1
+        if right is not None:
+            right.ups.popleft()
+            right.shift -= 1
+            # a lowered word that is no longer elevated is the level below
+            if right.ups[0] + right.shift and right.saved.pop():
+                raise InternalInvariant(f"saved spines left in the elevated word {steps}")
         return steps[1:-1], 2, None, None, None
     # case 4: mark the second downstep of the terminal descent, delete the
     # last peak (the mark slides two places left), then move every upstep
@@ -772,8 +683,6 @@ def _inverse_step_core(steps: str, spine=None, right=None):
     # kept as a branch: one splice for every count unwound n=11 4.7 % slower
     if moved:
         new = UP * moved + shorter[:c0] + shorter[u0:]
-        if spine is not None:
-            spine.append([len(new), moved])
     else:
         new = shorter
     keys = _key_downsteps(new, right)
@@ -786,10 +695,10 @@ def _inverse_step_core(steps: str, spine=None, right=None):
     return new, 4, valleys - rank, mark0, rank
 
 
-def _inverse_record(steps: str, *carried) -> InverseStepRecord:
+def _inverse_record(steps: str, right=None) -> InverseStepRecord:
     # one unwinding step from the word ``steps`` of size >= 2, on the
-    # spines the caller carries, if any
-    new_steps, case_id, emitted, mark0, rank = _inverse_step_core(steps, *carried)
+    # right spine the caller carries, if any
+    new_steps, case_id, emitted, mark0, rank = _inverse_step_core(steps, right)
     try:
         after = DyckPath(new_steps)
     except InputError as exc:
@@ -813,21 +722,60 @@ def inverse_step(P: DyckPath) -> InverseStepRecord:
     return _inverse_record(steps)
 
 
-def _carried_spines(steps: str) -> tuple[list[list], _RightSpine]:
-    # the left spine and the right spine with its saved spines and the
-    # word's valley count, which ``inverse`` and ``inverse_trace`` carry
-    left = _left_spine(steps)
-    right = _right_spines(steps, left)
+def _carried_spine(steps: str) -> _RightSpine:
+    # the right spine of a word with its saved spines and valley count,
+    # which ``inverse`` and ``inverse_trace`` carry, in one scan (see the
+    # module docstring).  Past the first peak, ``floor`` is the lowest
+    # height reached so far, and inner[b] the lowest valley seen by the
+    # first return to height b.  Each return to the floor closes a ground
+    # component of the word at that height, whose spine is kept as its
+    # last peak's cell
+    first = steps.find(DOWN)
+    inner: list = [None] * first
+    closed: list[list] = [[] for _ in inner]
+    floor = first
+    lowest = cell = peak = None
+    h = top = 0
+    prev = UP
+    for k, c in enumerate(steps):
+        if c == UP:
+            if prev == DOWN and (lowest is None or h < lowest):
+                lowest = h
+            cell = (k, cell)
+            h += 1
+        else:
+            if prev == UP:
+                peak, top = cell, h
+            cell = cell[1]
+            h -= 1
+            if h < floor:
+                floor = h
+                inner[h] = lowest
+            if h == floor:
+                closed[h].append((peak, top - h, h))
+        prev = c
+    # the level inside the one at base b has its base at inner[b], above
+    # b, so one pass up the heights chains the bases from 0.  A level's
+    # last component is carried, not saved: the word's in the spine
+    # itself, a lower level's inside the level above it
+    right = _RightSpine(())
+    right.expose(closed[0].pop())
+    saved = []
+    b = 0
+    for k, low in enumerate(inner):
+        if k == b:
+            saved.append(closed[k][:-1] if k else closed[0])
+            b = low
+    right.saved = saved[::-1]
     right.valleys = steps.count("DU")
-    return left, right
+    return right
 
 
-def _assert_carried_spines(left, right) -> None:
-    # a left spine that drifted from the word's own would read a later
-    # case 2 as case 4 or the other way round; a right spine or a saved
-    # one, a later key downstep's rank; a valley count, a later entry
-    if left != [[2, None]]:
-        raise InternalInvariant(f"carried left spine {left} at UD, not [[2, None]]")
+def _assert_carried_spines(right) -> None:
+    # a right spine that drifted from the word's own would read a later
+    # case 2 as case 4 or the other way round, or a later key downstep's
+    # rank; a saved one, a later case 3's spine; a valley count, a later
+    # entry
     if list(right) != [0] or right.saved != [[]]:
         raise InternalInvariant(
             f"carried right spine {list(right)} with {sum(map(len, right.saved))} saved "
@@ -838,25 +786,25 @@ def _assert_carried_spines(left, right) -> None:
 
 
 def _carried_fault(steps: str, exc: Exception) -> InternalInvariant:
-    # a drifted spine can index past a word, meet a None low or pop an
-    # empty deque
+    # a drifted spine can index past a word, read an empty deque, pop an
+    # empty list or unpack a missing cell
     return InternalInvariant(f"unwinding {steps} on its carried spines raised {exc!r}")
 
 
 def _inverse_entries(steps: str, carried: bool = True) -> list[int]:
-    # the preimage's entries, unwound on both spines, which are checked at
-    # UD; without ``carried`` every step scans, as the verify sweeps do
+    # the preimage's entries, unwound on the right spine, which is checked
+    # at UD; without ``carried`` every step scans, as the verify sweeps do
     word = steps
     emissions: list[int | None] = []
     try:
-        spines = _carried_spines(steps) if carried else ()
+        right = _carried_spine(steps) if carried else None
         while len(steps) > 2:
-            steps, _, emitted, _, _ = _inverse_step_core(steps, *spines)
+            steps, _, emitted, _, _ = _inverse_step_core(steps, right)
             emissions.append(emitted)
     except _CARRIED_FAULTS as exc:
         raise _carried_fault(word, exc) from exc
     if carried:
-        _assert_carried_spines(*spines)
+        _assert_carried_spines(right)
     entries = [0]
     for e in reversed(emissions):
         entries.append(entries[-1] if e is None else e)
@@ -881,14 +829,14 @@ def inverse_trace(P: DyckPath) -> InverseTrace:
         raise CapExceeded(f"a trace of size {len(steps) // 2} is past the limit of {_TRACE_LIMIT}")
     records = []
     try:
-        spines = _carried_spines(steps)
+        right = _carried_spine(steps)
         while len(steps) > 2:
-            record = _inverse_record(steps, *spines)
+            record = _inverse_record(steps, right)
             records.append(record)
             steps = record.path_after.steps
     except _CARRIED_FAULTS as exc:
         raise _carried_fault(P.steps, exc) from exc
-    _assert_carried_spines(*spines)
+    _assert_carried_spines(right)
     return InverseTrace(initial=P, records=tuple(records))
 
 

@@ -157,16 +157,11 @@ def parse_path(text: str) -> DyckPath:
 
 
 def first_descent_length(p: DyckPath) -> int:
-    s = _steps_of(p)
-    i = s.find(DOWN)
-    j = s.find(UP, i)
-    return (len(s) if j == -1 else j) - i
+    return _path_stats_raw(_steps_of(p))[0]
 
 
 def last_ascent_length(p: DyckPath) -> int:
-    s = _steps_of(p)
-    r = s.rfind(UP)
-    return r - s.rfind(DOWN, 0, r)
+    return _path_stats_raw(_steps_of(p))[1]
 
 
 def valley_count(p: DyckPath) -> int:

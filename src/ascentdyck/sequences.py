@@ -123,8 +123,7 @@ def parse_sequence(text: str) -> AscentSequence:
 
 def ascent_count(seq: AscentSequence) -> int:
     """Number of positions i with entries[i] < entries[i+1]."""
-    e = _entries_of(seq)
-    return sum(1 for i in range(len(e) - 1) if e[i] < e[i + 1])
+    return _sequence_stats_raw(_entries_of(seq))[2]
 
 
 def is_021_avoiding(seq: AscentSequence) -> bool:

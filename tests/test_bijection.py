@@ -35,7 +35,7 @@ from ascentdyck.paths import DOWN, _degree_of_elevation
 from ascentdyck.sequences import _prefix_state, _sequence_stats_raw, _walk_021
 
 from conftest import catalan_binomial
-from test_fuzz import draw_member
+from test_fuzz import built_bases, draw_member
 
 WORKED_SEQUENCE = [0, 1, 0, 1, 2, 2, 0, 3]
 WORKED_PATH = "UDUUUDUDUUDDUDDD"
@@ -435,31 +435,44 @@ class TestTypedArguments:
             call()
 
 
+def drift_the_built_spine(monkeypatch):
+    # an extra empty level at the bottom, which no step of UDUD pops
+    from ascentdyck import bijection
+
+    built = bijection._carried_spine
+
+    def drifted(steps):
+        right = built(steps)
+        right.saved.insert(0, [])
+        return right
+
+    monkeypatch.setattr(bijection, "_carried_spine", drifted)
+
+
+DRIFT_AT_UD = r"carried right spine \[0\] with 0 saved spines on 2 levels at UD"
+
+
 class TestCarriedSpine:
     def test_drifted_spine_is_caught_at_ud(self, monkeypatch):
-        # an extra pair makes UDUD read as elevated, and no step pops it
-        from ascentdyck import bijection
-
-        built = bijection._left_spine
-        monkeypatch.setattr(bijection, "_left_spine",
-                            lambda steps: [*built(steps), [len(steps), 1]])
-        with pytest.raises(InternalInvariant,
-                           match=r"carried left spine \[\[2, None\], \[4, 1\]\] at UD"):
+        drift_the_built_spine(monkeypatch)
+        with pytest.raises(InternalInvariant, match=DRIFT_AT_UD):
             inverse(DyckPath("UDUD"))
 
-    @pytest.mark.parametrize("steps, spine", [
-        ("UD", [[2, None]]),
-        ("UUDD", [[4, None]]),
-        ("UDUUDD", [[2, None]]),
-        ("UUDUDDUD", [[2, None], [6, 1]]),
-        ("UUUDUDDD", [[2, None], [8, 2]]),
-        ("UUUDDUDDUD", [[4, None], [8, 1]]),
-        (WORKED_PATH, [[2, None]]),
+    @pytest.mark.parametrize("steps, bases, spine", [
+        ("UD", [0], [0]),
+        ("UUDD", [0], [0, 1]),
+        ("UDUUDD", [0], [2, 3]),
+        ("UUDUDDUD", [0, 1], [6]),
+        ("UUUDUDDD", [0, 2], [0, 1, 4]),
+        ("UUUDDUDDUD", [0, 1], [8]),
+        (WORKED_PATH, [0], [2, 3, 12]),
     ])
-    def test_built_spines(self, steps, spine):
-        from ascentdyck.bijection import _left_spine
+    def test_built_spines(self, steps, bases, spine):
+        from ascentdyck.bijection import _carried_spine
 
-        assert _left_spine(steps) == spine
+        right = _carried_spine(steps)
+        assert built_bases(right) == bases
+        assert list(right) == spine
 
     def test_unwinding_reads_every_case_from_the_spine(self, monkeypatch):
         # classify sees the carried elevation on every step of unmap, and
@@ -490,11 +503,6 @@ class TestCarriedSpine:
         assert list(trace.sequence.entries) == WORKED_SEQUENCE
 
     def test_drifted_spine_is_caught_at_ud_in_the_trace(self, monkeypatch):
-        from ascentdyck import bijection
-
-        built = bijection._left_spine
-        monkeypatch.setattr(bijection, "_left_spine",
-                            lambda steps: [*built(steps), [len(steps), 1]])
-        with pytest.raises(InternalInvariant,
-                           match=r"carried left spine \[\[2, None\], \[4, 1\]\] at UD"):
+        drift_the_built_spine(monkeypatch)
+        with pytest.raises(InternalInvariant, match=DRIFT_AT_UD):
             inverse_trace(DyckPath("UDUD"))

@@ -120,8 +120,8 @@ def stepped_trace(p: DyckPath) -> tuple:
 
 
 def measured_inverse_entries(steps: str) -> list[int]:
-    """The unwinding with the elevation scanned on the word at every step
-    instead of read off a carried left spine: the oracle for the spine."""
+    """The unwinding with the word scanned at every step instead of read
+    off a carried right spine: the oracle for the spine."""
     emissions = []
     while len(steps) > 2:
         steps, _, emitted, _, _ = bijection._inverse_step_core(steps)
@@ -132,11 +132,12 @@ def measured_inverse_entries(steps: str) -> list[int]:
     return entries
 
 
-def spine_by_definition(steps: str) -> list[list]:
-    """The left spine read off its definition: the end and lowest inner
-    valley of the first ground component, then the same for that
-    component lowered by its lowest valley, until a pyramid."""
-    spine = []
+def levels_by_definition(steps: str) -> list[tuple]:
+    """The levels of a word read off their definition, top level first:
+    the end and lowest inner valley of the word's first ground component,
+    then the same for that component lowered by its lowest valley, until
+    a pyramid, each in its own level word's offsets."""
+    levels = []
     while True:
         bal = 0
         for end, c in enumerate(steps, start=1):
@@ -144,10 +145,26 @@ def spine_by_definition(steps: str) -> list[list]:
             if not bal:
                 break
         low = _degree_of_elevation(steps[:end])
-        spine.append([end, low])
+        levels.append((end, low))
         if low is None:
-            return spine[::-1]
+            return levels
         steps = steps[low : end - low]
+
+
+def bases_by_definition(steps: str) -> list[int]:
+    """Where each level's word starts, top level first: the cumulative
+    lows of the levels above it."""
+    bases = [0]
+    for _, low in levels_by_definition(steps)[:-1]:
+        bases.append(bases[-1] + low)
+    return bases
+
+
+def built_bases(right) -> list[int]:
+    """The level bases a built spine holds, top level first, read off each
+    level's first saved spine.  Only the top level can have none saved: a
+    lower one has a valley at its ground, so two or more components."""
+    return [level[0][2] if level else 0 for level in reversed(right.saved)]
 
 
 @pytest.mark.parametrize("entries", members(), ids=lambda e: f"n{len(e)}")
@@ -202,15 +219,15 @@ def test_carried_spine_matches_the_measured_unwinding_on_every_path(n):
 
 
 @pytest.mark.parametrize("n", range(1, 11))
-def test_carried_spine_equals_a_rebuilt_one_after_every_step(n):
+def test_carried_spine_reads_elevation_off_its_bottom_after_every_step(n):
     for steps in _iter_dyck_steps(n):
-        spine = bijection._left_spine(steps)
-        assert spine == spine_by_definition(steps), steps
-        while len(steps) > 2:
-            steps = bijection._inverse_step_core(steps, spine)[0]
-            assert spine == spine_by_definition(steps), steps
-            assert (spine[-1][0] == len(steps)) == _is_elevated_steps(steps), steps
-        assert spine == [[2, None]]
+        right = bijection._carried_spine(steps)
+        assert built_bases(right) == bases_by_definition(steps), steps
+        while True:
+            assert (right.ups[0] + right.shift == 0) == _is_elevated_steps(steps), steps
+            if len(steps) <= 2:
+                break
+            steps = bijection._inverse_step_core(steps, right)[0]
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -351,11 +368,11 @@ def kept_spine(kept) -> list[int]:
 
 
 def saved_by_definition(steps: str) -> list[list[list[int]]]:
-    """Per left-spine level, bottom level first, the right spines of that
-    level's ground components left of its last one, by a stack walk over
-    each component, in the level word's own offsets."""
+    """Per level, bottom level first, the right spines of that level's
+    ground components left of its last one, by a stack walk over each
+    component, in the level word's own offsets."""
     saved = []
-    for end, low in reversed(spine_by_definition(steps)):
+    for end, low in levels_by_definition(steps):
         spines, start, bal = [], 0, 0
         for k, c in enumerate(steps):
             bal += 1 if c == "U" else -1
@@ -373,11 +390,10 @@ def saved_as_lists(right) -> list[list[list[int]]]:
     return [list(map(kept_spine, level)) for level in right.saved]
 
 
-def rebuilt_saved(steps: str, left) -> list[list[list[int]]]:
-    """The saved spines built afresh on the word and its left spine: the
-    oracle where the stack walk of every level, O(levels x steps) a word,
-    is too slow."""
-    return saved_as_lists(bijection._right_spines(steps, left))
+def rebuilt_saved(steps: str) -> list[list[list[int]]]:
+    """The saved spines built afresh on the word: the oracle where the
+    stack walk of every level, O(levels x steps) a word, is too slow."""
+    return saved_as_lists(bijection._carried_spine(steps))
 
 
 def unwind_on_carried_right_spines(steps: str, rebuild: bool = False) -> list[int]:
@@ -387,16 +403,16 @@ def unwind_on_carried_right_spines(steps: str, rebuild: bool = False) -> list[in
     ``rebuild`` against the rebuilt ones, and the entries against the
     scanning unwinding's."""
     word = steps
-    left, right = bijection._carried_spines(steps)
+    right = bijection._carried_spine(steps)
     emissions = []
     while True:
         assert list(right) == _terminal_matches(steps)[1][::-1], (word, steps)
         assert right.valleys == steps.count("DU"), (word, steps)
-        saved = rebuilt_saved(steps, left) if rebuild else saved_by_definition(steps)
+        saved = rebuilt_saved(steps) if rebuild else saved_by_definition(steps)
         assert saved_as_lists(right) == saved, (word, steps)
         if len(steps) <= 2:
             break
-        steps, _, emitted, _, _ = bijection._inverse_step_core(steps, left, right)
+        steps, _, emitted, _, _ = bijection._inverse_step_core(steps, right)
         emissions.append(emitted)
     entries = [0]
     for emitted in reversed(emissions):
@@ -441,7 +457,7 @@ def test_carried_right_spines_after_every_inverse_step_at_2000_entries(seed):
     # checks the saved spines at the start, the rebuilt ones after that
     entries = draw_member(random.Random(SEED + seed), 2000)
     steps = forward(AscentSequence(entries)).steps
-    assert rebuilt_saved(steps, bijection._left_spine(steps)) == saved_by_definition(steps)
+    assert rebuilt_saved(steps) == saved_by_definition(steps)
     assert unwind_on_carried_right_spines(steps, rebuild=True) == list(entries)
 
 
