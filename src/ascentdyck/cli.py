@@ -28,15 +28,18 @@ from .errors import CapExceeded, InputError, InternalInvariant
 from .paths import (
     DyckPath,
     PathStats,
+    _iter_dyck_steps,
     _path_stats_raw,
-    enumerate_dyck_paths,
+    _require_size,
     parse_path,
     render_ascii,
 )
 from .sequences import (
     SequenceStats,
+    _iter_021_entries,
+    _require_length,
     _sequence_stats_raw,
-    enumerate_021_avoiding,
+    _sequence_text,
     parse_sequence,
 )
 from .verify import (
@@ -150,19 +153,24 @@ def _cmd_unmap(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    # one f-string and one write per row
+    # one f-string and one write per row.  The seq and path rows come
+    # straight from the DFS: its tuples and words are valid by construction,
+    # and the public enumerators wrap exactly these.  The pairs rows keep
+    # iter_pairs' validated objects, which the benchmark's enumerate-stream
+    # layer predictions still expect to see built.
     n, stats = args.n, args.stats
     write = sys.stdout.write
     if args.side == "seq":
-        for seq in enumerate_021_avoiding(n):
+        _require_length(n)
+        for entries in _iter_021_entries(n):
+            text = _sequence_text(entries)
             write(
-                f"{seq}\t{_stat_cell(_sequence_stats_raw(seq.entries))}\n" if stats else f"{seq}\n"
+                f"{text}\t{_stat_cell(_sequence_stats_raw(entries))}\n" if stats else f"{text}\n"
             )
     elif args.side == "path":
-        for p in enumerate_dyck_paths(n):
-            write(
-                f"{p.steps}\t{_stat_cell(_path_stats_raw(p.steps))}\n" if stats else f"{p.steps}\n"
-            )
+        _require_size(n)
+        for steps in _iter_dyck_steps(n):
+            write(f"{steps}\t{_stat_cell(_path_stats_raw(steps))}\n" if stats else f"{steps}\n")
     else:
         for seq, p in iter_pairs(n):
             write(

@@ -306,12 +306,17 @@ def _iter_dyck_steps(n: int) -> Iterator[str]:
             push((k, UP, ups + 1, downs))
 
 
-def enumerate_dyck_paths(n: int) -> Iterator[DyckPath]:
-    """Stream all Catalan(n) Dyck paths of size n, lexicographic with U < D.
-    A bad size raises at the call, before the first path."""
+def _require_size(n: int) -> None:
+    # the size gate of enumerate_dyck_paths and of the CLI's path rows
     _require_int(n, "path size")
     if n < 1:
         raise SizeZero("path size must be at least 1")
+
+
+def enumerate_dyck_paths(n: int) -> Iterator[DyckPath]:
+    """Stream all Catalan(n) Dyck paths of size n, lexicographic with U < D.
+    A bad size raises at the call, before the first path."""
+    _require_size(n)
     return (DyckPath(steps) for steps in _iter_dyck_steps(n))
 
 

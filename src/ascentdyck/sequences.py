@@ -76,12 +76,16 @@ class AscentSequence(_Record):
         return len(self.entries)
 
     def __str__(self) -> str:
-        # the entries are exact ints, so the tuple's repr spells each one
-        # as str() does; a 1-tuple's repr has a trailing comma
-        entries = self.entries
-        if len(entries) == 1:
-            return str(entries[0])
-        return repr(entries)[1:-1].replace(", ", ",")
+        return _sequence_text(self.entries)
+
+
+def _sequence_text(entries: tuple[int, ...]) -> str:
+    # the text of a sequence, "0,1,1": the entries are exact ints, so the
+    # tuple's repr spells each one as str() does; a 1-tuple's repr has a
+    # trailing comma
+    if len(entries) == 1:
+        return str(entries[0])
+    return repr(entries)[1:-1].replace(", ", ",")
 
 
 def _entries_of(seq: AscentSequence) -> tuple[int, ...]:
@@ -330,13 +334,18 @@ def _iter_021_entries(n: int) -> Iterator[tuple[int, ...]]:
     return (tuple(buf) for buf, _ in _walk_021(n))
 
 
+def _require_length(n: int) -> None:
+    # the length gate of enumerate_021_avoiding and of the CLI's seq rows
+    _require_int(n, "sequence length")
+    if n < 1:
+        raise SizeZero("sequence length must be at least 1")
+
+
 def enumerate_021_avoiding(n: int) -> Iterator[AscentSequence]:
     """Stream every 021-avoiding ascent sequence of length n exactly once,
     in lexicographic order.  There are Catalan(n) of them.  A bad length
     raises at the call, before the first sequence."""
-    _require_int(n, "sequence length")
-    if n < 1:
-        raise SizeZero("sequence length must be at least 1")
+    _require_length(n)
     return (AscentSequence(entries) for entries in _iter_021_entries(n))
 
 

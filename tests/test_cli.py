@@ -168,9 +168,14 @@ class TestEnumerate:
         line = out.splitlines()[0]  # the all-zero sequence
         assert line == "0,0,0,0\t4,3,0,0,-"
 
-    def test_bad_size(self, capsys):
-        code, _, err = run_cli(capsys, "enumerate", "0")
-        assert code == 1
+    @pytest.mark.parametrize("side,name", [
+        ("seq", "sequence length"), ("path", "path size"), ("pairs", "size"),
+    ])
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_bad_size(self, capsys, side, name, n):
+        # each side's gate speaks for its family, before any row is printed
+        assert run_cli(capsys, "enumerate", "--side", side, n) == (
+            1, "", f"error: {name} must be at least 1\n")
 
     @pytest.mark.parametrize("values", [
         (4, 3, 0, 0, None), (1, 0, 2, 1, 0), (12, 11, 10, 9, 8), (0, 0, 0, 0, None),
@@ -510,14 +515,19 @@ class TestByteIdentity:
          "6f8696f379edc05e1bef4aa56bb1bdea34d482d5c3745f66ed169f4dbbd243ea"),
         (["enumerate", "10", "--stats", "--side", "pairs"],
          "3e5e2725069d2bbcefd73d17f3b73f88baf2fe64d56c6e4975917cd341200404"),
+        (["enumerate", "10", "--side", "seq"],
+         "025c96a03110c471073f8fd2ad7297933b1f0b42f860dd951cec63520199b545"),
+        (["enumerate", "10", "--side", "path"],
+         "6319d0b590ce2932d00776c059938c9643d4dccb2397e573cf8f1fa1801adca7"),
         (["map", "0,1,0,1,2,2,0,3", "--trace", "--format", "json"],
          "64402423b0c12d4d727bedc680f273b56a5ddda29d81fbfd01271ff1f4901ff2"),
         (["map", "0,1,0,1,2,2,0,3", "--trace", "--format", "paren"],
          "f6065f95e49a1e55aed56b67d06a3490af73b38be3fea48c304e07067e4f78a9"),
         (["unmap", "UDUUUDUDUUDDUDDD", "--trace"],
          "663cbdf67c463e2f30a2a79c422ea46d0fc775d59d8ecadbfc0be4da1eccaed4"),
-    ], ids=["verify", "enumerate-seq", "enumerate-path", "enumerate-pairs", "map-trace",
-            "map-trace-paren", "unmap-trace"])
+    ], ids=["verify", "enumerate-seq", "enumerate-path", "enumerate-pairs",
+            "enumerate-seq-bare", "enumerate-path-bare", "map-trace", "map-trace-paren",
+            "unmap-trace"])
     def test_output_digest(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0

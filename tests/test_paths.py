@@ -28,7 +28,7 @@ from ascentdyck import (
     valley_count,
 )
 from ascentdyck import paths
-from ascentdyck.paths import UP, _is_valid_steps, _match_down, _validate_steps
+from ascentdyck.paths import UP, _is_valid_steps, _iter_dyck_steps, _match_down, _validate_steps
 
 from conftest import all_dyck_words, catalan_binomial, raised, stack_matching
 from test_fuzz import draw_path
@@ -374,6 +374,14 @@ class TestEnumeration:
             if previous is not None:
                 assert previous < key
             previous = key
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_dfs_words_are_paths(self, n):
+        # `enumerate --side path` prints these words without building a
+        # path, so each must construct, have size n and be new
+        words = list(_iter_dyck_steps(n))
+        assert all(DyckPath(steps).size == n for steps in words)
+        assert len(set(words)) == len(words) == catalan_binomial(n)
 
 
 class TestStatistics:

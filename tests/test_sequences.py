@@ -25,7 +25,7 @@ from ascentdyck import (
     validate_ascent_sequence,
 )
 
-from ascentdyck.sequences import _closes_021_bruteforce
+from ascentdyck.sequences import _closes_021_bruteforce, _iter_021_entries, _sequence_text
 
 from conftest import all_ascent_sequences, catalan_binomial, nonzero_weakly_increasing, raised
 from test_fuzz import draw_member
@@ -140,22 +140,28 @@ class TestOnePassCheck:
 
 
 class TestText:
+    # `enumerate --side seq` prints _sequence_text of the DFS tuples with no
+    # sequence built, so it must read as str() of the sequence does
+    @staticmethod
+    def check(entries):
+        assert _sequence_text(entries) == str(AscentSequence(entries)) == ",".join(map(str, entries))
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_the_family(self, n):
-        for seq in enumerate_021_avoiding(n):
-            assert str(seq) == ",".join(map(str, seq.entries))
+        for entries in _iter_021_entries(n):
+            self.check(entries)
 
     @pytest.mark.parametrize("entries", [
         (0,), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10, 0, 11),
         (0, *range(1, 300)),
     ], ids=["one", "to-11", "repeat-10", "to-299"])
     def test_single_and_multi_digit_entries(self, entries):
-        assert str(AscentSequence(entries)) == ",".join(map(str, entries))
+        self.check(entries)
 
     def test_a_long_member(self):
         entries = draw_member(random.Random(3), 2048)
         assert max(entries) >= 100
-        assert str(AscentSequence(entries)) == ",".join(map(str, entries))
+        self.check(entries)
 
 
 class TestParsing:
@@ -349,6 +355,18 @@ class TestEnumeration:
             if previous is not None:
                 assert previous < seq.entries
             previous = seq.entries
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_dfs_tuples_are_members(self, n):
+        # `enumerate --side seq` prints these tuples without building a
+        # sequence, so each must construct, lie in the family and be new,
+        # and be a tuple, whose repr the row text is cut from
+        seen = set()
+        for entries in _iter_021_entries(n):
+            assert type(entries) is tuple
+            assert is_021_avoiding(AscentSequence(entries)), entries
+            seen.add(entries)
+        assert len(seen) == catalan_binomial(n)
 
 
 class TestStatistics:
