@@ -1,10 +1,11 @@
 """Time ``enumerate N --stats`` on each side and record it in BENCH_enumerate.json.
 
-    python3 bench/bench_enumerate.py [--checkout LABEL=DIR]... [--sizes 10,11,12] [--runs 5]
+    python3 bench/bench_enumerate.py [--checkout LABEL=DIR]... [--out FILE]
 
 Each ``--checkout`` names a source checkout (a directory holding
 ``src/ascentdyck``) and the label its record is filed under; without one,
-the checkout holding this script is timed as ``this``.  Every run is a
+the checkout holding this script is timed as ``this``.  Each side is
+timed at N = 10, 11 and 12, five runs each.  Every run is a
 fresh interpreter that imports the package from its checkout, makes one
 untimed call of the command (it builds the parser and counts the rows,
 which must be Catalan(N)) and then times one call with stdout sent to
@@ -30,6 +31,8 @@ import sys
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("seq", "path", "pairs")
+SIZES = (10, 11, 12)
+RUNS = 5
 
 # one run; argv[1] is the checkout and argv[2:] the command
 _RUN = """
@@ -70,14 +73,14 @@ def _git_commit(checkout: str) -> str | None:
     return proc.stdout.strip() or None
 
 
-def measure(checkouts: dict[str, str], sizes, runs: int) -> dict[str, list[dict]]:
+def measure(checkouts: dict[str, str]) -> dict[str, list[dict]]:
     entries = {label: [] for label in checkouts}
-    for n in sizes:
+    for n in SIZES:
         for side in SIDES:
             argv = ["enumerate", str(n), "--stats", "--side", side]
             seconds = {label: [] for label in checkouts}
             order = list(checkouts)
-            for _ in range(runs):
+            for _ in range(RUNS):
                 for label in order:
                     got = _run(checkouts[label], argv)
                     if not got["ok"]:
@@ -99,15 +102,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", action="append", metavar="LABEL=DIR",
                         help="a checkout to time and its label (repeatable)")
-    parser.add_argument("--sizes", default="10,11,12")
-    parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--out", default=os.path.join(HERE, "BENCH_enumerate.json"))
     args = parser.parse_args(argv)
     checkouts = dict(spec.split("=", 1) for spec in args.checkout or [f"this={HERE}"])
     for label, checkout in checkouts.items():
         if not os.path.isdir(os.path.join(checkout, "src", "ascentdyck")):
             parser.error(f"{label}: no src/ascentdyck under {checkout}")
-    entries = measure(checkouts, [int(n) for n in args.sizes.split(",")], args.runs)
+    entries = measure(checkouts)
     try:
         with open(args.out) as f:
             recorded = json.load(f)
@@ -118,7 +119,7 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "nproc": os.cpu_count(),
             "git_commit": _git_commit(checkout),
-            "runs": args.runs,
+            "runs": RUNS,
             "entries": entries[label],
         }
     with open(args.out, "w") as f:

@@ -157,7 +157,8 @@ def _cmd_enumerate(args) -> int:
     # straight from the DFS: its tuples and words are valid by construction,
     # and the public enumerators wrap exactly these.  The pairs rows keep
     # iter_pairs' validated objects, which the benchmark's enumerate-stream
-    # layer predictions still expect to see built.
+    # layer predictions still expect to see built, but print their text
+    # through the same helper.
     n, stats = args.n, args.stats
     write = sys.stdout.write
     if args.side == "seq":
@@ -173,11 +174,12 @@ def _cmd_enumerate(args) -> int:
             write(f"{steps}\t{_stat_cell(_path_stats_raw(steps))}\n" if stats else f"{steps}\n")
     else:
         for seq, p in iter_pairs(n):
+            text = _sequence_text(seq.entries)
             write(
-                f"{seq}\t{p.steps}\t{_stat_cell(_sequence_stats_raw(seq.entries))}"
+                f"{text}\t{p.steps}\t{_stat_cell(_sequence_stats_raw(seq.entries))}"
                 f"\t{_stat_cell(_path_stats_raw(p.steps))}\n"
                 if stats
-                else f"{seq}\t{p.steps}\n"
+                else f"{text}\t{p.steps}\n"
             )
     return 0
 
